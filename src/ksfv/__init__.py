@@ -3,29 +3,13 @@ with nonlinear (porous-medium type) cell diffusion."""
 
 __version__ = "0.1.0"
 
-from .grid import Field, GridSpec, face_gradient, integrate, laplacian, lp_norm
-from .model import (CRITICAL_MASS_2D, InitialData, ModelParams, Regime,
-                    classify_regime, make_initial_data)
-from .solver import (RunResult, SimState, StepControl, StepOutcome, advance_v,
-                     chemotactic_flux, compute_dt, diffusive_flux, run, step)
-from .diagnostics import (DeGiorgiLadder, DiagnosticsConfig, DiagnosticsRecord,
-                          DiagnosticsTracker, build_ladder, check_decay)
+from .grid import GridSpec
+from .model import ModelParams, classify_regime, make_initial_data
+from .solver import StepControl, run, step
 from . import kernels
-from .config import ConfigError, RunConfig, SweepConfig, parse_config
-from .sweep import (SweepResult, classify_run, execute_run, run_sweep,
-                    sigma_ladder_report)
 
 __all__ = [
-    "Field", "GridSpec", "face_gradient", "integrate", "laplacian", "lp_norm",
-    "CRITICAL_MASS_2D", "InitialData", "ModelParams", "Regime",
-    "classify_regime", "make_initial_data",
-    "RunResult", "SimState", "StepControl", "StepOutcome", "advance_v",
-    "chemotactic_flux", "compute_dt", "diffusive_flux", "run", "step",
-    "DeGiorgiLadder", "DiagnosticsConfig", "DiagnosticsRecord",
-    "DiagnosticsTracker", "build_ladder", "check_decay",
-    "kernels",
-    "ConfigError", "RunConfig", "SweepConfig", "parse_config",
-    "SweepResult", "classify_run", "execute_run", "run_sweep",
-    "sigma_ladder_report",
+    "GridSpec", "ModelParams", "StepControl", "make_initial_data",
+    "run", "step", "classify_regime", "kernels",
     "__version__",
 ]

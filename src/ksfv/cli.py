@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, SweepConfig, parse_config
 from .diagnostics import build_ladder, ladder_for_run
-from .kernels import self_check
+from .kernels import exponent_ms_qs, self_check
 from .outputs import (SWEEP_JSON, emit_run_outputs, load_series,
                       write_ladder_csv, write_sweep_json)
 from .sweep import execute_run, run_sweep
@@ -94,15 +94,9 @@ def _cmd_ladder(args) -> int:
         return 1
     meta = json.loads(meta_path.read_text())
     times, fields = load_series(run_dir)
-    from .kernels import exponent_ms_qs
-
-    model = meta["config"]["model"]
-    grid = meta["config"]["grid"]
-    cell_volume = 1.0
-    for n, L in zip(grid["cells"], grid["extent"]):
-        cell_volume *= L / n
-    m_s, _ = exponent_ms_qs(meta["s_used"], model["m"], model["q"], meta["N_used"])
-    ladder = build_ladder(list(times), list(fields), cell_volume,
+    cfg = parse_config(json.dumps(meta["config"]))
+    m_s, _ = exponent_ms_qs(meta["s_used"], cfg.model.m, cfg.model.q, meta["N_used"])
+    ladder = build_ladder(list(times), list(fields), cfg.grid.cell_volume,
                           K=args.K, n_max=args.n_max, m_s=m_s)
     out = Path(args.out) if args.out else run_dir / "ladder_custom.csv"
     write_ladder_csv(ladder, out)

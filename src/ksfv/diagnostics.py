@@ -59,6 +59,14 @@ class DiagnosticsRecord:
     ratio_s14: float
 
 
+def _analytic_N_s(params: ModelParams, config: DiagnosticsConfig) -> tuple[int, int]:
+    """The configured analytic dimension N and exponent s, defaulting to
+    max(dim, 2) and the smallest admissible integer s."""
+    N = config.N if config.N is not None else max(params.dim, 2)
+    s = config.s if config.s is not None else default_s(params.m, params.q, N)
+    return N, s
+
+
 def _safe_ratio(num: float, den: float) -> float:
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
@@ -75,10 +83,9 @@ class DiagnosticsTracker:
     def __init__(self, params: ModelParams, config: DiagnosticsConfig, v0: Field):
         self.params = params
         self.config = config
-        self.N = config.N if config.N is not None else max(params.dim, 2)
+        self.N, self.s = _analytic_N_s(params, config)
         if self.N < 2:
             raise ValueError("analytic dimension N must be >= 2")
-        self.s = config.s if config.s is not None else default_s(params.m, params.q, self.N)
         if not self.s > max(0.0, params.m - 2.0 * params.q):
             raise ValueError(f"s={self.s} violates s > max(0, m - 2q)")
         self.p_fr1 = config.p_fr1 if config.p_fr1 is not None else float(self.N + 2)
@@ -194,8 +201,7 @@ def ladder_for_run(times, u_samples, cell_volume, params: ModelParams,
                    config: DiagnosticsConfig, sup_u_overall: float) -> DeGiorgiLadder | None:
     """Ladder with K chosen by the configured policy; None when the run
     never produced a positive sup (nothing to truncate)."""
-    N = config.N if config.N is not None else max(params.dim, 2)
-    s = config.s if config.s is not None else default_s(params.m, params.q, N)
+    N, s = _analytic_N_s(params, config)
     m_s, _ = exponent_ms_qs(s, params.m, params.q, N)
     if config.ladder_k_mode == "fixed":
         K = config.ladder_k_value

@@ -82,9 +82,6 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, allow_nonfinite: bool = False) -> "Field":
-        return Field(self.grid, values, allow_nonfinite=allow_nonfinite)
-
     def min(self) -> float:
         return float(self.values.min())
 
@@ -113,58 +110,6 @@ def face_gradient(f: Field, axis: int) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         g[interior] = np.diff(v, axis=axis) / h
     return g
-
-
-def _face_difference(faces: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Per-cell (F_right - F_left)/h from a face array along `axis`."""
-    return np.diff(faces, axis=axis) / h
-
-
-def laplacian(f: Field) -> Field:
-    """Flux-form 2*dim+1 point Laplacian with zero-flux boundary faces.
-
-    Because every interior face gradient enters two adjacent cells with
-    opposite signs, the discrete integral of the result vanishes up to
-    floating-point accumulation.
-    """
-    out = np.zeros(f.grid.cells)
-    for axis in range(f.grid.dim):
-        g = face_gradient(f, axis)
-        out += _face_difference(g, axis, f.grid.spacing[axis])
-    return Field(f.grid, out, allow_nonfinite=True)
-
-
-def apply_face_fluxes(f: Field, fluxes: list[np.ndarray], dt: float) -> Field:
-    """Conservative update f - dt*div(F) for per-axis face flux arrays.
-
-    The outgoing and incoming parts are accumulated separately so that a
-    cell whose outflow is budgeted below its content can never be driven
-    negative by rounding (fl(a - b) >= 0 whenever 0 <= b < a).
-    """
-    out_rate, in_rate = outflow_inflow_rates(f.grid, fluxes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        updated = (f.values - dt * out_rate) + dt * in_rate
-    return Field(f.grid, updated, allow_nonfinite=True)
-
-
-def outflow_inflow_rates(grid: GridSpec, fluxes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Split per-axis face fluxes into nonnegative outflow/inflow rates per cell.
-
-    Rates are per unit volume: out[i] = sum over faces of flux leaving cell i
-    divided by the spacing along that face's axis.
-    """
-    out_rate = np.zeros(grid.cells)
-    in_rate = np.zeros(grid.cells)
-    for axis in range(grid.dim):
-        F = fluxes[axis]
-        h = grid.spacing[axis]
-        right = tuple(slice(1, None) if k == axis else slice(None) for k in range(grid.dim))
-        left = tuple(slice(0, -1) if k == axis else slice(None) for k in range(grid.dim))
-        Fr = F[right]
-        Fl = F[left]
-        out_rate += (np.maximum(Fr, 0.0) + np.maximum(-Fl, 0.0)) / h
-        in_rate += (np.maximum(-Fr, 0.0) + np.maximum(Fl, 0.0)) / h
-    return out_rate, in_rate
 
 
 def integrate(f: Field) -> float:

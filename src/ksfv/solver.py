@@ -10,8 +10,9 @@ One step advances (u, v) by operator splitting:
      flux is donor-cell upwinded and budgeted so the right-hand side stays
      nonnegative.  u1 is formed in flux form from the total face flux,
      diffusive -(w_R - w_L)/h plus chemotactic, so total mass telescopes
-     exactly; a solve that would leave a cell negative is retried at half
-     the step.
+     exactly.  Cells a slightly inexact solve would leave negative are
+     limited (_StepWork.flux_update); only a Newton solve that does not
+     converge is retried at half the step.
   2. v is advanced by backward Euler on v_t - laplace v + v = u, with the
      previous step's u on the right-hand side (the operator is symmetric
      positive definite and an M-matrix, so the exact update preserves
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, face_gradient
+from .grid import Field, face_gradient_sup
 from .model import InitialData, ModelParams
 
 
@@ -82,39 +83,6 @@ class StepOutcome:
     sup_grad_v: float = math.nan
 
 
-def diffusive_flux(u: Field, params: ModelParams, axis: int) -> np.ndarray:
-    """Face flux -((u_R+sigma)^m - (u_L+sigma)^m)/h along `axis`.
-
-    Identical to -m (u+sigma)^(m-1) grad u in potential form; zero on
-    boundary faces.
-    """
-    if u.min() < 0:
-        raise ValueError("diffusive_flux requires u >= 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        pot = (u.values + params.sigma) ** params.m
-    return -face_gradient(Field(u.grid, pot, allow_nonfinite=True), axis)
-
-
-def chemotactic_flux(u: Field, v: Field, params: ModelParams, axis: int) -> np.ndarray:
-    """Donor-cell upwinded face flux (u_donor)^q * grad v along `axis`.
-
-    The donor is the left cell when the face gradient of v is positive
-    (transport toward +axis) and the right cell otherwise; empty donors
-    carry zero flux, so chemotaxis cannot overdraw a cell.
-    """
-    g = face_gradient(v, axis)
-    uq = np.maximum(u.values, 0.0) ** params.q
-    dim = u.grid.dim
-    left = tuple(slice(0, -1) if k == axis else slice(None) for k in range(dim))
-    right = tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
-    interior = tuple(slice(1, -1) if k == axis else slice(None) for k in range(dim))
-    g_int = g[interior]
-    donor = np.where(g_int > 0.0, uq[left], uq[right])
-    flux = np.zeros_like(g)
-    flux[interior] = donor * g_int
-    return flux
-
-
 def _power(x: np.ndarray, e: float) -> np.ndarray:
     """x**e with the hot small-integer exponents special-cased."""
     if e == 1.0:
@@ -130,6 +98,21 @@ def _slices(dim: int, axis: int):
     left = tuple(slice(0, -1) if k == axis else slice(None) for k in range(dim))
     right = tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
     return left, right
+
+
+def _chemotactic_flux(uq: np.ndarray, v: np.ndarray, axis: int, h: float):
+    """Donor-cell upwinded face flux (u_donor)^q (v_R - v_L)/h along `axis`,
+    on interior faces only (boundary faces carry none); uq holds u^q.
+
+    The donor is the left cell where the face gradient of v is positive
+    (transport toward +axis) and the right cell otherwise, so an empty
+    donor carries no flux.  Returns the flux, the face gradient and the
+    mask of faces whose donor is the left cell.
+    """
+    left, right = _slices(v.ndim, axis)
+    dv = (v[right] - v[left]) * (1.0 / h)
+    uphill = dv > 0.0
+    return np.where(uphill, uq[left], uq[right]) * dv, dv, uphill
 
 
 class _Laplacian:
@@ -306,9 +289,7 @@ class _StepWork:
             for axis in range(dim):
                 h = grid.spacing[axis]
                 left, right = _slices(dim, axis)
-                dv = (vv[right] - vv[left]) * (1.0 / h)
-                uphill = dv > 0.0
-                F = np.where(uphill, uq[left], uq[right]) * dv
+                F, dv, uphill = _chemotactic_flux(uq, vv, axis, h)
                 abs_dv_max = float(np.abs(dv).max()) if dv.size else 0.0
                 sup_dv = max(sup_dv, abs_dv_max)
                 if q == 1.0:
@@ -481,15 +462,6 @@ class _StepWork:
         return None
 
 
-def compute_dt(state: SimState, params: ModelParams, ctrl: StepControl) -> float:
-    """safety * min(chemotactic bound, accuracy bound, dt_max).
-
-    Values below ctrl.dt_min signal stiffness collapse; the caller is
-    responsible for flagging dt_collapsed.
-    """
-    return _StepWork(state.u, state.v, params).dt(ctrl)
-
-
 def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl,
               x0: np.ndarray | None = None) -> tuple[Field, int]:
     """Backward-Euler solve of (1 + dt) v_new - dt laplace v_new = v + dt u.
@@ -620,7 +592,7 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
         records.append(tracker.record(state))
 
     running_sup_u = sup_u0
-    running_sup_gv = _sup_grad(state.v)
+    running_sup_gv = face_gradient_sup(state.v)
     sup_v0 = state.v.max()
     violation = 0.0
     start = _time.monotonic() if wall_clock_budget is not None else 0.0
@@ -652,7 +624,8 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
         # pre-step gradients come free with the fluxes; the final state's
         # gradient is folded in after the loop
         gv = outcome.sup_grad_v
-        running_sup_gv = max(running_sup_gv, gv if not math.isnan(gv) else _sup_grad(state.v))
+        running_sup_gv = max(running_sup_gv,
+                             gv if not math.isnan(gv) else face_gradient_sup(state.v))
         violation = max(violation, state.v.max() - max(sup_v0, running_sup_u))
 
         if state.t >= targets[next_target]:
@@ -666,7 +639,7 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
             termination = SUP_THRESHOLD
             break
 
-    running_sup_gv = max(running_sup_gv, _sup_grad(state.v))
+    running_sup_gv = max(running_sup_gv, face_gradient_sup(state.v))
     if sample_times[-1] != state.t:
         sample_times.append(state.t)
         u_samples.append(np.array(state.u.values))
@@ -679,11 +652,3 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
                      running_max_sup_grad_v=running_sup_gv,
                      comparison_violation=violation, steps=state.step)
 
-
-def _sup_grad(v: Field) -> float:
-    worst = 0.0
-    for axis in range(v.grid.dim):
-        d = np.diff(v.values, axis=axis)
-        if d.size:
-            worst = max(worst, float(np.abs(d).max()) / v.grid.spacing[axis])
-    return worst

@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .config import RunConfig, SweepConfig, run_config_to_dict
+from .config import RunConfig, SweepConfig
 from .diagnostics import DiagnosticsTracker
 from .model import classify_regime
 from .solver import DT_COLLAPSED, NONFINITE, REACHED_T, SUP_THRESHOLD, run
@@ -75,13 +75,9 @@ def _max_ratio_s14(records) -> float | None:
 
 
 def _sweep_point(args) -> dict:
-    i, j, m, q, template_doc = args
-    from .config import parse_config
-    import json
-
+    i, j, m, q, template = args
     point = {"i": i, "j": j, "m": m, "q": q}
     try:
-        template = parse_config(json.dumps(template_doc))
         cfg = template.with_exponents(m, q)
         regime = classify_regime(cfg.model, max(cfg.model.dim, 2))
         result, _ = execute_run(cfg)
@@ -151,8 +147,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     The merge is keyed, so worker count and completion order cannot change
     the result.
     """
-    template_doc = run_config_to_dict(cfg.template)
-    jobs = [(i, j, m, q, template_doc)
+    jobs = [(i, j, m, q, cfg.template)
             for i, m in enumerate(cfg.m_grid)
             for j, q in enumerate(cfg.q_grid)]
 

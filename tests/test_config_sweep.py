@@ -328,3 +328,18 @@ class TestCli:
         assert code == 0
         lines = (out_dir / "ladder_custom.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 5
+
+    def test_ladder_command_reproduces_run_ladder(self, tmp_path):
+        # the run's own K and n_max on a non-square grid: the rebuilt ladder
+        # must match the run's ladder.csv byte for byte
+        doc = small_run_doc(grid={"dim": 2, "cells": [8, 6], "extent": [1.3, 0.7]},
+                            initial={"preset": "random-nonneg", "low": 0.1, "high": 1.0})
+        cfg_path = self.write_config(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        meta = json.loads((out_dir / METADATA_JSON).read_text())
+        K = meta["config"]["diagnostics"]["ladder_k_value"] * meta["running_max_sup_u"]
+        rebuilt = tmp_path / "rebuilt.csv"
+        assert cli_main(["ladder", str(out_dir), "--K", repr(K), "--n-max", "8",
+                         "--out", str(rebuilt)]) == 0
+        assert rebuilt.read_bytes() == (out_dir / LADDER_CSV).read_bytes()
