@@ -9,6 +9,7 @@ and to_dict() emits a fully-defaulted document that round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -92,6 +93,11 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number (Python's json also reads NaN and Infinity)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 class _Reader:
     """Walks a JSON object against an allowed-key table, collecting errors."""
 
@@ -110,21 +116,26 @@ class _Reader:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
         return obj
 
+    def _missing(self, obj: dict, path: str, key: str, default, required) -> bool:
+        """True when there is no value to read: the key is absent, or null
+        where the default is None (an optional value left unset)."""
+        if key in obj and not (obj[key] is None and default is None and not required):
+            return False
+        if required:
+            self.fail(f"{path}.{key}", "missing required value")
+        return True
+
     def number(self, obj: dict, path: str, key: str, default, *, required=False):
-        if key not in obj:
-            if required:
-                self.fail(f"{path}.{key}", "missing required value")
+        if self._missing(obj, path, key, default, required):
             return default
         val = obj[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.fail(f"{path}.{key}", f"expected a number, got {val!r}")
+        if not _is_number(val):
+            self.fail(f"{path}.{key}", f"expected a finite number, got {val!r}")
             return default
         return float(val)
 
     def integer(self, obj: dict, path: str, key: str, default, *, required=False):
-        if key not in obj:
-            if required:
-                self.fail(f"{path}.{key}", "missing required value")
+        if self._missing(obj, path, key, default, required):
             return default
         val = obj[key]
         if isinstance(val, bool) or not isinstance(val, int):
@@ -180,9 +191,8 @@ def _parse_run(doc: dict, r: _Reader, path: str = "") -> RunConfig | None:
         cells = None
     if extent is None:
         extent = [1.0] * dim
-    if not isinstance(extent, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in extent):
-        r.fail(p("grid.extent"), "expected a list of numbers")
+    if not isinstance(extent, list) or not all(_is_number(x) for x in extent):
+        r.fail(p("grid.extent"), "expected a list of finite numbers")
         extent = None
 
     init_doc = r.section(doc.get("initial", {}), p("initial"), _INITIAL_KEYS)
@@ -207,7 +217,6 @@ def _parse_run(doc: dict, r: _Reader, path: str = "") -> RunConfig | None:
     seed = r.integer(doc, path or "run", "seed", 0)
 
     ctrl_doc = r.section(doc.get("control", {}), p("control"), _CONTROL_KEYS)
-    dt_fixed = ctrl_doc.get("dt_fixed")
     # dt collapse sentinel defaults to 1e-12 relative to the horizon.
     dt_min_default = 1e-12 * horizon if horizon is not None and horizon > 0 else 1e-12
     control_kwargs = dict(
@@ -216,24 +225,20 @@ def _parse_run(doc: dict, r: _Reader, path: str = "") -> RunConfig | None:
         dt_max=r.number(ctrl_doc, p("control"), "dt_max", 0.1),
         v_solve_tol=r.number(ctrl_doc, p("control"), "v_solve_tol", 1e-10),
         v_solve_max_iters=r.integer(ctrl_doc, p("control"), "v_solve_max_iters", 20000),
-        dt_fixed=float(dt_fixed) if dt_fixed is not None else None,
+        dt_fixed=r.number(ctrl_doc, p("control"), "dt_fixed", None),
         max_steps=r.integer(ctrl_doc, p("control"), "max_steps", 50_000_000),
     )
 
     diag_doc = r.section(doc.get("diagnostics", {}), p("diagnostics"), _DIAG_KEYS)
     p_list = diag_doc.get("p_list", [1.0, 2.0, 4.0])
-    if not isinstance(p_list, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in p_list):
-        r.fail(p("diagnostics.p_list"), "expected a list of numbers")
+    if not isinstance(p_list, list) or not all(_is_number(x) for x in p_list):
+        r.fail(p("diagnostics.p_list"), "expected a list of finite numbers")
         p_list = [1.0, 2.0, 4.0]
-    s_val = diag_doc.get("s")
-    p_fr1 = diag_doc.get("p_fr1")
-    n_val = diag_doc.get("N")
     diag_kwargs = dict(
         p_list=tuple(float(x) for x in p_list),
-        s=int(s_val) if s_val is not None else None,
-        p_fr1=float(p_fr1) if p_fr1 is not None else None,
-        N=int(n_val) if n_val is not None else None,
+        s=r.integer(diag_doc, p("diagnostics"), "s", None),
+        p_fr1=r.number(diag_doc, p("diagnostics"), "p_fr1", None),
+        N=r.integer(diag_doc, p("diagnostics"), "N", None),
         ladder_n_max=r.integer(diag_doc, p("diagnostics"), "ladder_n_max", 8),
         ladder_k_mode=r.string(diag_doc, p("diagnostics"), "ladder_k_mode", "sup_multiple"),
         ladder_k_value=r.number(diag_doc, p("diagnostics"), "ladder_k_value", 0.5),
@@ -306,9 +311,8 @@ def parse_config(text: str) -> RunConfig | SweepConfig:
         r.section(doc, "", _SWEEP_KEYS)
         for name in ("m_grid", "q_grid"):
             g = doc.get(name)
-            if not isinstance(g, list) or not g or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in g):
-                r.fail(name, "expected a nonempty list of numbers")
+            if not isinstance(g, list) or not g or not all(_is_number(x) for x in g):
+                r.fail(name, "expected a nonempty list of finite numbers")
         template_doc = doc.get("template")
         if not isinstance(template_doc, dict):
             r.fail("template", "missing run template")

@@ -21,6 +21,10 @@ One step advances (u, v) by operator splitting:
 Both implicit systems are symmetric positive definite and are solved by one
 conjugate-gradient routine, preconditioned by the exact inverse of a
 constant-coefficient operator in the cosine basis of the Neumann Laplacian.
+The v-solve and the Newton iteration stop at the residual 2-norm
+v_solve_tol * (1 + |rhs|); the CG solve of each Newton correction stops
+earlier, at an Eisenstat-Walker forcing term times the current Newton
+residual (inexact Newton, see _StepWork.diffusion_update).
 
 Diffusion is unconditionally stable, so there is no h^2 cap.  The time step
 is safety * min(chemotactic bound, accuracy bound, dt_max): the chemotactic
@@ -77,6 +81,8 @@ class StepOutcome:
     state: SimState
     dt_used: float
     v_solve_iters: int
+    # inner CG iterations of the Newton diffusion solve, over every attempt
+    u_solve_iters: int = 0
     flags: StepFlags = field(default_factory=StepFlags)
     # sup |grad v| of the pre-step v, reused by run-level monitors when the
     # flux assembly already produced the gradients (nan otherwise)
@@ -406,25 +412,32 @@ class _StepWork:
                 inflow[right] += out_l
             u1 += inflow
 
-    def diffusion_update(self, r: np.ndarray, dt: float,
-                         ctrl: StepControl) -> np.ndarray:
+    def diffusion_update(self, r: np.ndarray, dt: float, ctrl: StepControl
+                         ) -> tuple[np.ndarray | None, int, int]:
         """Potential w of the backward-Euler diffusion u1 - dt lap_h w(u1) = r,
-        by Newton in w from w(r); None if Newton has not converged after
-        _NEWTON_MAX_ITERS corrections.
+        by inexact Newton in w from w(r), with the number of corrections and
+        of their inner CG iterations; w is None if Newton has not converged
+        after _NEWTON_MAX_ITERS corrections.
 
         Each correction solves (diag(du/dw) - dt lap_h) dw = -res, which is
         symmetric positive definite, by preconditioned CG; w is kept at or
         above w(0).  Vacuum cells of a degenerate potential (sigma = 0,
         m > 1, where du/dw is infinite) are pinned at w = 0: they can
-        receive mass in this step but emit none.  Newton and each CG solve
-        stop once the residual 2-norm over the unpinned cells is at most
-        v_solve_tol * (1 + |r|).
+        receive mass in this step but emit none.  Newton stops once the
+        residual 2-norm over the unpinned cells is at most
+        tol = v_solve_tol * (1 + |r|).  Correction k's CG stops at
+        max(tol, eta_k |res_k|), with the Eisenstat-Walker forcing term
+        (choice 2: eta_0 = 0.5, eta_k = 0.9 (|res_k| / |res_k-1|)^2,
+        safeguarded by 0.9 eta_k-1^2 once that exceeds 0.1, capped at 0.9),
+        so early corrections are not solved past what their residual needs.
         """
         pot, lap = self.potential, self.lap
         w = pot.w(r).copy()
         lw = np.empty_like(w)
         tol = ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(r)))
-        for _ in range(_NEWTON_MAX_ITERS):
+        cg_iters = 0
+        eta, prev_norm = 0.5, math.nan
+        for k in range(_NEWTON_MAX_ITERS):
             lap(w, lw)
             res = pot.u(w) - r - dt * lw
             d = pot.du_dw(w)
@@ -435,7 +448,14 @@ class _StepWork:
                 res[~active] = 0.0
             res_norm = float(np.linalg.norm(res))
             if not res_norm > tol:  # converged, or non-finite
-                return w
+                return w, k, cg_iters
+            if k:
+                safeguard = 0.9 * eta * eta
+                eta = 0.9 * (res_norm / prev_norm) ** 2
+                if safeguard > 0.1:
+                    eta = max(eta, safeguard)
+                eta = min(eta, 0.9)
+            prev_norm = res_norm
 
             def apply_J(x, out):
                 lap(x, out)
@@ -455,11 +475,11 @@ class _StepWork:
                 dt * float(inv_diag.sum()) / n_active)
             scale = np.sqrt(inv_diag)
             dw = np.zeros_like(w)
-            _cg(apply_J, -res, dw, tol, ctrl.v_solve_max_iters,
-                lambda x: scale * shifted(scale * x))
+            cg_iters += _cg(apply_J, -res, dw, max(tol, eta * res_norm),
+                            ctrl.v_solve_max_iters, lambda x: scale * shifted(scale * x))
             w += dw
             np.maximum(w, pot.floor, out=w)
-        return None
+        return None, _NEWTON_MAX_ITERS, cg_iters
 
 
 def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl,
@@ -510,15 +530,18 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
         return StepOutcome(state=state, dt_used=0.0, v_solve_iters=0,
                            flags=StepFlags(nonfinite_detected=True))
     dt = work.dt(ctrl)
+    u_iters = 0
     while True:
         if dt < ctrl.dt_min:
             return StepOutcome(state=state, dt_used=0.0, v_solve_iters=0,
+                               u_solve_iters=u_iters,
                                flags=StepFlags(dt_collapsed=True))
         t_new = state.t + dt
         if t_new >= t_stop:
             dt, t_new = t_stop - state.t, t_stop
         r = work.chemotaxis_update(dt)
-        w = work.diffusion_update(r, dt, ctrl)
+        w, _, cg_iters = work.diffusion_update(r, dt, ctrl)
+        u_iters += cg_iters
         if w is not None:
             u_vals = work.flux_update(r, w, dt)
             break
@@ -531,10 +554,11 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
     # one-reduction finiteness probe: any nan/inf poisons the sum
     if not math.isfinite(float(u_new.values.sum()) + float(v_new.values.sum())):
         return StepOutcome(state=new_state, dt_used=dt, v_solve_iters=iters,
+                           u_solve_iters=u_iters,
                            flags=StepFlags(nonfinite_detected=True),
                            sup_grad_v=work.sup_grad_v)
     return StepOutcome(state=new_state, dt_used=dt, v_solve_iters=iters,
-                       sup_grad_v=work.sup_grad_v)
+                       u_solve_iters=u_iters, sup_grad_v=work.sup_grad_v)
 
 
 REACHED_T = "reached_T"
@@ -556,6 +580,9 @@ class RunResult:
     running_max_sup_grad_v: float
     comparison_violation: float
     steps: int
+    # CG iterations of the Newton diffusion solves and of the v-solves
+    u_solve_iters: int
+    v_solve_iters: int
 
 
 def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
@@ -595,6 +622,7 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
     running_sup_gv = face_gradient_sup(state.v)
     sup_v0 = state.v.max()
     violation = 0.0
+    u_iters = v_iters = 0
     start = _time.monotonic() if wall_clock_budget is not None else 0.0
 
     termination = None
@@ -611,6 +639,8 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
             break
 
         outcome = step(state, params, ctrl, t_stop=targets[next_target])
+        u_iters += outcome.u_solve_iters
+        v_iters += outcome.v_solve_iters
         if outcome.flags.dt_collapsed:
             termination = DT_COLLAPSED
             break
@@ -650,5 +680,6 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
                      sample_times=sample_times, u_samples=u_samples,
                      running_max_sup_u=running_sup_u,
                      running_max_sup_grad_v=running_sup_gv,
-                     comparison_violation=violation, steps=state.step)
+                     comparison_violation=violation, steps=state.step,
+                     u_solve_iters=u_iters, v_solve_iters=v_iters)
 

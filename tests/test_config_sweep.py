@@ -94,6 +94,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("overrides,path", [
+        ({"horizon": math.nan}, "run.horizon"),
+        ({"horizon": math.inf}, "run.horizon"),
+        ({"horizon": -math.inf}, "run.horizon"),
+        ({"control": {"dt_max": math.inf}}, "control.dt_max")])
+    def test_non_finite_number_rejected(self, overrides, path):
+        # Python's json reads NaN and Infinity; a NaN horizon never ends a run
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(small_run_doc(**overrides)))
+        assert any(e.startswith(f"{path}: expected a finite number")
+                   for e in exc.value.errors)
+
+    def test_optional_numbers_parsed(self):
+        doc = small_run_doc(control={"dt_fixed": 1e-4},
+                            diagnostics={"s": 3, "p_fr1": 5.0, "N": 2})
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.control.dt_fixed == 1e-4
+        assert (cfg.diagnostics.s, cfg.diagnostics.p_fr1, cfg.diagnostics.N) == (3, 5.0, 2)
+        assert parse_config(json.dumps(run_config_to_dict(cfg))) == cfg
+
     def test_grid_invariants_enforced(self):
         doc = small_run_doc(grid={"dim": 2, "cells": [2, 2]})
         with pytest.raises(ConfigError):
@@ -292,6 +312,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", cfg_path, "--out", str(tmp_path / "o")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("section,key", [("control", "dt_fixed"), ("diagnostics", "s"),
+                                             ("diagnostics", "p_fr1"), ("diagnostics", "N")])
+    def test_non_number_exits_1(self, tmp_path, capsys, section, key):
+        cfg_path = self.write_config(tmp_path, small_run_doc(**{section: {key: "x"}}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", cfg_path, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
+        assert f"{section}.{key}: expected" in capsys.readouterr().err
+
+    def test_run_command_reports_solver_work(self, tmp_path, capsys):
+        doc = small_run_doc(initial={"preset": "gaussian-bump", "width": 0.3})
+        cfg_path = self.write_config(tmp_path, doc)
+        assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 0
+        result, _ = execute_run(parse_config(json.dumps(doc)))
+        assert result.u_solve_iters > 0 and result.v_solve_iters > 0
+        assert (f"CG iterations: {result.u_solve_iters} diffusion, "
+                f"{result.v_solve_iters} v-solve") in capsys.readouterr().out
 
     def test_sweep_command_and_failure_exit(self, tmp_path):
         doc = small_sweep_doc()

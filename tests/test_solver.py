@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ksfv import solver
 from ksfv.grid import Field, GridSpec, constant_field, integrate, lp_norm
 from ksfv.model import InitialData, ModelParams, make_initial_data
 from ksfv.solver import (DT_COLLAPSED, MAX_STEPS, NONFINITE, REACHED_T,
@@ -177,6 +178,68 @@ class TestFluxUpdate:
         assert u1.min() >= 0.0
         assert u1.sum() == pytest.approx(r.sum(), rel=1e-15)
         assert u1[1] == pytest.approx(0.5e-12, rel=1e-12)
+
+
+def neumann_laplacian_2d(n):
+    """Dense cell-centred Neumann 5-point Laplacian on the unit square, n^2
+    cells, row-major."""
+    D = np.zeros((n, n))
+    for i in range(n - 1):
+        D[i, i] -= 1.0
+        D[i + 1, i + 1] -= 1.0
+        D[i, i + 1] += 1.0
+        D[i + 1, i] += 1.0
+    D *= n * n
+    I = np.eye(n)
+    return np.kron(D, I) + np.kron(I, D)
+
+
+class TestDiffusionUpdate:
+    """The Newton solve of u(w) - dt lap_h w = r that step() runs."""
+
+    def solve(self, n, m, dt, mass, width):
+        g = grid2d(n)
+        init = make_initial_data(g, "gaussian-bump", mass=mass, width=width)
+        params = ModelParams(m=m, q=1.0, sigma=1e-3)
+        work = _StepWork(init.u0, init.v0, params)
+        r = init.u0.values.copy()
+        ctrl = StepControl()
+        return (g, params, ctrl, r) + work.diffusion_update(r, dt, ctrl)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0])
+    def test_outer_residual_meets_tolerance(self, m):
+        # a supercritical bump (sup 900) at a large dt needs several
+        # corrections; the loose inner solves must not loosen the outer test
+        g, params, ctrl, r, w, corrections, cg_iters = self.solve(
+            32, m, 0.1, 1.5 * 8 * math.pi, 0.08)
+        assert w is not None
+        assert corrections > 1 and cg_iters >= corrections
+        pot = _Potential(params)
+        res = pot.u(w) - r - 0.1 * _Laplacian(g)(w, np.empty_like(w))
+        assert np.isfinite(pot.du_dw(w)).all()  # sigma > 0: no pinned cell
+        assert np.linalg.norm(res) <= ctrl.v_solve_tol * (1.0 + np.linalg.norm(r))
+
+    @pytest.mark.parametrize("m", [1.5, 2.0])
+    def test_matches_dense_newton(self, m):
+        n, dt = 12, 0.05
+        g, params, _, r, w, _, _ = self.solve(n, m, dt, 5.0, 0.2)
+        L = neumann_laplacian_2d(n)
+        rf, s = r.ravel(), params.sigma
+        ref = (rf + s) ** m
+        for _ in range(50):
+            F = (ref ** (1.0 / m) - s) - rf - dt * (L @ ref)
+            if np.linalg.norm(F) <= 1e-14 * (1.0 + np.linalg.norm(rf)):
+                break
+            ref -= np.linalg.solve(np.diag(ref ** (1.0 / m - 1.0) / m) - dt * L, F)
+        else:
+            pytest.fail("dense Newton reference did not converge")
+        assert np.abs(w.ravel() - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_linear_potential_one_correction_one_iteration(self):
+        # at m = 1 the preconditioner is the exact inverse of the Jacobian
+        *_, w, corrections, cg_iters = self.solve(32, 1.0, 0.1, 1.5 * 8 * math.pi, 0.08)
+        assert w is not None
+        assert (corrections, cg_iters) == (1, 1)
 
 
 class TestAdvanceV:
@@ -421,6 +484,24 @@ class TestRun:
         res = run(init, params, StepControl(dt_min=1e-280, dt_max=1.0),
                   horizon=1.0, samples=2)
         assert res.termination == NONFINITE
+
+    def test_solver_work_totals(self, monkeypatch):
+        # run() reports the sums of its steps' CG iterations, both solves
+        g = grid2d(16)
+        init = make_initial_data(g, "gaussian-bump", mass=1.0, width=0.15)
+        outcomes = []
+
+        def recording_step(*args, **kwargs):
+            outcomes.append(step(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(solver, "step", recording_step)
+        res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
+                  horizon=2e-3, samples=3)
+        assert len(outcomes) == res.steps > 0
+        assert res.u_solve_iters == sum(o.u_solve_iters for o in outcomes)
+        assert res.v_solve_iters == sum(o.v_solve_iters for o in outcomes)
+        assert res.u_solve_iters > res.steps  # m = 2 needs several corrections
 
     def test_final_state_always_sampled(self):
         init = self.steady_initial()
