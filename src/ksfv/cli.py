@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, SweepConfig, parse_config
@@ -26,16 +25,20 @@ from .outputs import (SWEEP_JSON, emit_run_outputs, load_series,
 from .sweep import execute_run, run_sweep
 
 
-def _load_config(path: str, kind):
+def _load_config(text: str, kind, **overrides):
+    """Parse a config document of the given kind.  The overrides that are not
+    None replace its top-level keys (a sweep's `seed` is its template's) and
+    pass the same checks.  Any problem exits with code 1."""
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     try:
-        cfg = parse_config(Path(path).read_text())
-    except FileNotFoundError:
-        print(f"config file not found: {path}", file=sys.stderr)
-        raise SystemExit(1)
+        cfg = parse_config(text)
+        if overrides and isinstance(cfg, kind):
+            doc = json.loads(text)
+            if kind is SweepConfig and "seed" in overrides:
+                doc["template"]["seed"] = overrides.pop("seed")
+            cfg = parse_config(json.dumps({**doc, **overrides}))
     except ConfigError as e:
-        print("invalid config:", file=sys.stderr)
-        for err in e.errors:
-            print(f"  {err}", file=sys.stderr)
+        print("invalid config:", *e.errors, sep="\n  ", file=sys.stderr)
         raise SystemExit(1)
     if not isinstance(cfg, kind):
         print(f"expected a {kind.__name__} document", file=sys.stderr)
@@ -43,10 +46,16 @@ def _load_config(path: str, kind):
     return cfg
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        print(f"config file not found: {path}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _cmd_run(args) -> int:
-    cfg: RunConfig = _load_config(args.config, RunConfig)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg: RunConfig = _load_config(_read_text(args.config), RunConfig, seed=args.seed)
     out_dir = Path(args.out)
 
     result, tracker = execute_run(cfg)
@@ -61,11 +70,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg: SweepConfig = _load_config(args.config, SweepConfig)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.seed is not None:
-        cfg = replace(cfg, template=replace(cfg.template, seed=args.seed))
+    cfg: SweepConfig = _load_config(_read_text(args.config), SweepConfig,
+                                    workers=args.workers, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -95,7 +101,7 @@ def _cmd_ladder(args) -> int:
         return 1
     meta = json.loads(meta_path.read_text())
     times, fields = load_series(run_dir)
-    cfg = parse_config(json.dumps(meta["config"]))
+    cfg = _load_config(json.dumps(meta["config"]), RunConfig)
     m_s, _ = exponent_ms_qs(meta["s_used"], cfg.model.m, cfg.model.q, meta["N_used"])
     ladder = build_ladder(list(times), list(fields), cfg.grid.cell_volume,
                           K=args.K, n_max=args.n_max, m_s=m_s)

@@ -29,14 +29,16 @@ from .solver import SimState
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     p_list: tuple[float, ...] = (1.0, 2.0, 4.0)
-    s: int | None = None          # None: smallest admissible integer
-    p_fr1: float | None = None    # None: N + 2 (must exceed (N+2)/2)
-    N: int | None = None          # analytic dimension; None: max(dim, 2)
     ladder_n_max: int = 8
     ladder_k_mode: str = "sup_multiple"   # or "fixed"
     ladder_k_value: float = 0.5
+    s: int | None = None          # None: smallest admissible integer
+    p_fr1: float | None = None    # None: N + 2 (must exceed (N+2)/2)
+    N: int | None = None          # analytic dimension; None: max(dim, 2)
 
     def __post_init__(self):
+        if self.N is not None and self.N < 2:
+            raise ValueError(f"analytic dimension N must be >= 2, got {self.N}")
         if any(p < 1 for p in self.p_list):
             raise ValueError("every p in p_list must be >= 1")
         if self.ladder_k_mode not in ("sup_multiple", "fixed"):
@@ -84,8 +86,6 @@ class DiagnosticsTracker:
         self.params = params
         self.config = config
         self.N, self.s = _analytic_N_s(params, config)
-        if self.N < 2:
-            raise ValueError("analytic dimension N must be >= 2")
         if not self.s > max(0.0, params.m - 2.0 * params.q):
             raise ValueError(f"s={self.s} violates s > max(0, m - 2q)")
         self.p_fr1 = config.p_fr1 if config.p_fr1 is not None else float(self.N + 2)

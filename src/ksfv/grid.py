@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GridSpec:
     """Axis-aligned box [0, L_0] x ... partitioned into uniform cells.
 
@@ -22,7 +22,7 @@ class GridSpec:
     stencils exist away from both boundaries.
     """
 
-    dim: int
+    dim: int = 2
     cells: tuple[int, ...]
     extent: tuple[float, ...]
 

@@ -77,13 +77,39 @@ class InitialData:
             raise ValueError("initial data must be nonnegative")
 
 
+def check_initial_data(grid: GridSpec, preset: str, *, value: float, mass: float,
+                       width: float, center, centers, low: float, high: float,
+                       seed: int, v0_preset: str, v0_value: float) -> None:
+    """Raise ValueError unless make_initial_data can build these data on grid:
+    the arguments the preset reads, and any `center` or `centers` given."""
+    if preset not in ("constant", "gaussian-bump", "two-bumps", "random-nonneg"):
+        raise ValueError(f"unknown preset {preset!r}")
+    if preset == "constant" and value < 0:
+        raise ValueError(f"constant preset needs value >= 0, got {value}")
+    if preset in ("gaussian-bump", "two-bumps"):
+        if mass <= 0:
+            raise ValueError(f"requested mass must be > 0, got {mass}")
+        if width < 2.0 * max(grid.spacing):
+            raise ValueError(f"width {width} under-resolved: need at least 2 cells "
+                             f"({2.0 * max(grid.spacing)})")
+    if centers is not None and len(centers) == 0:
+        raise ValueError("centers must name at least one point")
+    for c in [center, *(centers or ())]:
+        if c is not None and len(c) != grid.dim:
+            raise ValueError(f"center {list(c)} needs {grid.dim} coordinates")
+    if preset == "random-nonneg":
+        if low < 0 or high <= low:
+            raise ValueError(f"need 0 <= low < high, got [{low}, {high})")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+    if v0_preset not in ("constant", "match"):
+        raise ValueError(f"unknown v0 preset {v0_preset!r}")
+    if v0_preset == "constant" and v0_value < 0:
+        raise ValueError(f"v0 must be nonnegative, got {v0_value}")
+
+
 def _gaussian_values(grid: GridSpec, mass: float, width: float,
                      center: tuple[float, ...] | None) -> np.ndarray:
-    if mass <= 0:
-        raise ValueError(f"requested mass must be > 0, got {mass}")
-    if width < 2.0 * max(grid.spacing):
-        raise ValueError(
-            f"width {width} under-resolved: need at least 2 cells ({2.0 * max(grid.spacing)})")
     if center is None:
         center = tuple(L / 2.0 for L in grid.extent)
     r2 = np.zeros(grid.cells)
@@ -113,9 +139,10 @@ def make_initial_data(grid: GridSpec, preset: str, *, value: float = 1.0,
     v0 is a constant field (v0_value) unless v0_preset = "match", which
     copies u0.
     """
+    check_initial_data(grid, preset, value=value, mass=mass, width=width,
+                       center=center, centers=centers, low=low, high=high,
+                       seed=seed, v0_preset=v0_preset, v0_value=v0_value)
     if preset == "constant":
-        if value < 0:
-            raise ValueError(f"constant preset needs value >= 0, got {value}")
         u0 = constant_field(grid, value)
     elif preset == "gaussian-bump":
         u0 = Field(grid, _gaussian_values(grid, mass, width, center))
@@ -127,22 +154,10 @@ def make_initial_data(grid: GridSpec, preset: str, *, value: float = 1.0,
         for c in centers:
             vals += _gaussian_values(grid, mass / len(centers), width, tuple(c))
         u0 = Field(grid, vals)
-    elif preset == "random-nonneg":
-        if low < 0 or high <= low:
-            raise ValueError(f"need 0 <= low < high, got [{low}, {high})")
+    else:
         rng = np.random.default_rng(seed)
         u0 = Field(grid, rng.uniform(low, high, size=grid.cells))
-    else:
-        raise ValueError(f"unknown preset {preset!r}")
-
-    if v0_preset == "constant":
-        if v0_value < 0:
-            raise ValueError(f"v0 must be nonnegative, got {v0_value}")
-        v0 = constant_field(grid, v0_value)
-    elif v0_preset == "match":
-        v0 = u0
-    else:
-        raise ValueError(f"unknown v0 preset {v0_preset!r}")
+    v0 = constant_field(grid, v0_value) if v0_preset == "constant" else u0
 
     data = InitialData(preset=preset, u0=u0, v0=v0)
     assert integrate(data.u0) >= 0.0

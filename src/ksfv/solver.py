@@ -60,14 +60,21 @@ class StepControl:
     dt_max: float = 0.1
     v_solve_tol: float = 1e-10
     v_solve_max_iters: int = 20000
-    dt_fixed: float | None = None   # capped at the chemotactic and accuracy bounds when set
     max_steps: int = 50_000_000
+    dt_fixed: float | None = None   # capped at the chemotactic and accuracy bounds when set
 
     def __post_init__(self):
         if not 0.0 < self.safety <= 1.0:
             raise ValueError(f"safety must be in (0, 1], got {self.safety}")
         if not 0.0 < self.dt_min < self.dt_max:
             raise ValueError(f"need 0 < dt_min < dt_max, got {self.dt_min}, {self.dt_max}")
+        if self.dt_fixed is not None and not self.dt_fixed > 0.0:
+            raise ValueError(f"dt_fixed must be > 0, got {self.dt_fixed}")
+        if not self.v_solve_tol > 0.0:
+            raise ValueError(f"v_solve_tol must be > 0, got {self.v_solve_tol}")
+        if self.v_solve_max_iters < 1 or self.max_steps < 1:
+            raise ValueError("v_solve_max_iters and max_steps must be >= 1, got "
+                             f"{self.v_solve_max_iters}, {self.max_steps}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,11 +115,95 @@ class TestParseConfig:
         assert cfg.control.dt_fixed == 1e-4
         assert (cfg.diagnostics.s, cfg.diagnostics.p_fr1, cfg.diagnostics.N) == (3, 5.0, 2)
         assert parse_config(json.dumps(run_config_to_dict(cfg))) == cfg
+        for initial in ({"preset": "gaussian-bump", "width": 0.3, "center": [0.25, 0.5]},
+                        {"preset": "two-bumps", "width": 0.3,
+                         "centers": [[0.25, 0.5], [0.75, 0.5], [0.5, 0.25]]}):
+            cfg = parse_config(json.dumps(small_run_doc(initial=initial)))
+            echoed = run_config_to_dict(cfg)
+            assert {k: echoed["initial"][k] for k in initial} == initial
+            assert parse_config(json.dumps(echoed)) == cfg
+            assert cfg.make_initial().u0.values.sum() * cfg.grid.cell_volume == \
+                pytest.approx(1.0, rel=1e-12)
+
+    def test_readme_example_round_trips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [b for b in re.findall(r"```json\n(.*?)```", readme, re.S)
+                  if '"kind": "run"' in b]
+        assert len(blocks) == 1
+        cfg = parse_config(blocks[0])
+        assert parse_config(json.dumps(run_config_to_dict(cfg))) == cfg
 
     def test_grid_invariants_enforced(self):
         doc = small_run_doc(grid={"dim": 2, "cells": [2, 2]})
         with pytest.raises(ConfigError):
             parse_config(json.dumps(doc))
+
+
+def _sweep_template(**overrides):
+    doc = small_sweep_doc()
+    doc["template"].update(overrides)
+    return doc
+
+
+# Documents that must fail at parse time, not when their job runs, each
+# with the start of the path-qualified error it must produce.
+MALFORMED = [
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "center": 5}),
+                 "initial.center: expected a list", id="center-scalar"),
+    pytest.param(small_run_doc(initial={"preset": "two-bumps", "centers": [1, 2]}),
+                 "initial.centers[0]: expected a list", id="centers-flat"),
+    pytest.param(_sweep_template(model="x"),
+                 "template.model: expected an object", id="template-model-string"),
+    pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]},
+                               initial={"preset": "gaussian-bump", "center": [0.5]}),
+                 "initial: center [0.5] needs 2 coordinates", id="center-1d-on-2d"),
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "center": ["a", "b"]}),
+                 "initial.center[0]: expected a finite number", id="center-strings"),
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "width": 0.1}),
+                 "initial: width 0.1 under-resolved", id="width-under-resolved"),
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "mass": -1, "width": 0.3}),
+                 "initial: requested mass must be > 0", id="mass-negative"),
+    pytest.param(small_run_doc(initial={"preset": "constant", "v0_preset": "zzz"}),
+                 "initial: unknown v0 preset", id="v0-preset-unknown"),
+    pytest.param(small_run_doc(grid={"dim": 2, "cells": [16, True]}),
+                 "grid.cells[1]: expected an integer", id="cells-bool"),
+    pytest.param(small_run_doc(control={"dt_fixed": -1}),
+                 "control: dt_fixed must be > 0", id="dt-fixed-negative"),
+    pytest.param(small_run_doc(control={"dt_fixed": 0}),
+                 "control: dt_fixed must be > 0", id="dt-fixed-zero"),
+    pytest.param(small_run_doc(control={"v_solve_tol": 0}),
+                 "control: v_solve_tol must be > 0", id="v-solve-tol-zero"),
+    pytest.param(small_run_doc(control={"v_solve_max_iters": 0}),
+                 "control: v_solve_max_iters and max_steps must be >= 1",
+                 id="v-solve-max-iters-zero"),
+    pytest.param(small_run_doc(control={"max_steps": 0}),
+                 "control: v_solve_max_iters and max_steps must be >= 1", id="max-steps-zero"),
+    pytest.param(small_run_doc(diagnostics={"N": 1}),
+                 "diagnostics: analytic dimension N must be >= 2", id="N-1"),
+    pytest.param(small_run_doc(initial={"preset": "random-nonneg"}, seed=-1),
+                 "initial: seed must be >= 0", id="seed-negative"),
+    pytest.param(_sweep_template(initial={"preset": "random-nonneg"}, seed=-1),
+                 "template.initial: seed must be >= 0", id="template-seed-negative"),
+]
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("doc,error", MALFORMED)
+    def test_rejected_at_parse(self, doc, error):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert any(e.startswith(error) for e in exc.value.errors), exc.value.errors
+
+    @pytest.mark.parametrize("doc,error", MALFORMED)
+    def test_cli_exits_1(self, tmp_path, capsys, doc, error):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([doc["kind"], str(path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and f"  {error}" in err
+        assert not (tmp_path / "o").exists()
 
 
 class FakeRecord:
@@ -350,6 +436,33 @@ class TestCli:
             assert code == 0
             outs.append((out / SWEEP_JSON).read_bytes())
         assert outs[0] == outs[1]
+
+    def expect_invalid(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        assert f"invalid config:\n  {error}" in capsys.readouterr().err
+
+    def test_sweep_workers_override_validated(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, small_sweep_doc())
+        self.expect_invalid(capsys, ["sweep", cfg_path, "--out", str(tmp_path / "o"),
+                                     "--workers", "0"], "sweep: workers must be >= 1")
+
+    def test_seed_override_validated(self, tmp_path, capsys):
+        doc = small_run_doc(initial={"preset": "random-nonneg"})
+        cfg_path = self.write_config(tmp_path, doc)
+        self.expect_invalid(capsys, ["run", cfg_path, "--out", str(tmp_path / "o"),
+                                     "--seed", "-1"], "initial: seed must be >= 0")
+
+    def test_ladder_on_unparsable_metadata(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        meta = json.loads((out_dir / METADATA_JSON).read_text())
+        del meta["config"]["horizon"]
+        (out_dir / METADATA_JSON).write_text(json.dumps(meta))
+        self.expect_invalid(capsys, ["ladder", str(out_dir), "--K", "2.0"],
+                            "run.horizon: missing required value")
 
     def test_kernels_command(self, tmp_path):
         report_path = tmp_path / "kernels.json"

@@ -197,21 +197,28 @@ def neumann_laplacian_2d(n):
 class TestDiffusionUpdate:
     """The Newton solve of u(w) - dt lap_h w = r that step() runs."""
 
-    def solve(self, n, m, dt, mass, width):
+    def solve(self, n, m, dt, mass, width, tol=StepControl.v_solve_tol):
         g = grid2d(n)
         init = make_initial_data(g, "gaussian-bump", mass=mass, width=width)
         params = ModelParams(m=m, q=1.0, sigma=1e-3)
         work = _StepWork(init.u0, init.v0, params)
         r = init.u0.values.copy()
-        ctrl = StepControl()
+        ctrl = StepControl(v_solve_tol=tol)
         return (g, params, ctrl, r) + work.diffusion_update(r, dt, ctrl)
 
-    @pytest.mark.parametrize("m", [1.5, 2.0])
-    def test_outer_residual_meets_tolerance(self, m):
+    # v_solve_tol from 1e-4 to 1e-12 in half decades: over the ladder the
+    # last accepted residual falls anywhere below tol, so that a solve
+    # stopping at a loosened threshold ends above tol on some rungs (the
+    # default tolerance alone lands 1e2 to 1e3 below it).  The default rung
+    # keeps the plain `[m]` id.
+    @pytest.mark.parametrize("m,tol", [
+        pytest.param(m, tol, id=str(m) if tol == StepControl.v_solve_tol else f"{m}-{tol:.1e}")
+        for m in (1.5, 2.0) for tol in (10.0 ** (-k / 2) for k in range(8, 25))])
+    def test_outer_residual_meets_tolerance(self, m, tol):
         # a supercritical bump (sup 900) at a large dt needs several
         # corrections; the loose inner solves must not loosen the outer test
         g, params, ctrl, r, w, corrections, cg_iters = self.solve(
-            32, m, 0.1, 1.5 * 8 * math.pi, 0.08)
+            32, m, 0.1, 1.5 * 8 * math.pi, 0.08, tol)
         assert w is not None
         assert corrections > 1 and cg_iters >= corrections
         pot = _Potential(params)
