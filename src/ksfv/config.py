@@ -20,7 +20,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
-from .diagnostics import DiagnosticsConfig
+from .diagnostics import DiagnosticsConfig, analytic_exponents
 from .grid import GridSpec
 from .model import InitialData, ModelParams, check_initial_data, make_initial_data
 from .solver import StepControl
@@ -75,6 +75,18 @@ class RunConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
+        if None in (self.model, self.control, self.diagnostics):
+            return  # the parser reports the section that failed
+        ctrl = self.control
+        # StepControl allows these so tests can force a collapse; a run with
+        # them would stop with dt_collapsed on its first step, whatever the state
+        if ctrl.dt_min > ctrl.safety * ctrl.dt_max:
+            raise ValueError(f"control.dt_min {ctrl.dt_min} exceeds safety * dt_max = "
+                             f"{ctrl.safety * ctrl.dt_max:g}, so every step would collapse")
+        if ctrl.dt_fixed is not None and ctrl.dt_fixed < ctrl.dt_min:
+            raise ValueError(f"control.dt_fixed {ctrl.dt_fixed} is below dt_min {ctrl.dt_min}, "
+                             "so every step would collapse")
+        analytic_exponents(self.model, self.diagnostics)
 
     def make_initial(self) -> InitialData:
         return make_initial_data(self.grid, seed=self.seed, **vars(self.initial))

@@ -39,6 +39,8 @@ class DiagnosticsConfig:
     def __post_init__(self):
         if self.N is not None and self.N < 2:
             raise ValueError(f"analytic dimension N must be >= 2, got {self.N}")
+        if self.ladder_n_max < 0:
+            raise ValueError(f"ladder_n_max must be >= 0, got {self.ladder_n_max}")
         if any(p < 1 for p in self.p_list):
             raise ValueError("every p in p_list must be >= 1")
         if self.ladder_k_mode not in ("sup_multiple", "fixed"):
@@ -61,12 +63,23 @@ class DiagnosticsRecord:
     ratio_s14: float
 
 
-def _analytic_N_s(params: ModelParams, config: DiagnosticsConfig) -> tuple[int, int]:
-    """The configured analytic dimension N and exponent s, defaulting to
-    max(dim, 2) and the smallest admissible integer s."""
+def analytic_exponents(params: ModelParams, config: DiagnosticsConfig
+                       ) -> tuple[int, int, float]:
+    """The analytic dimension N and the exponents s and p_fr1, defaulting to
+    max(dim, 2), the smallest admissible integer s and N + 2.
+
+    Raises ValueError unless s > max(0, m - 2q) and p_fr1 > (N+2)/2.
+    """
     N = config.N if config.N is not None else max(params.dim, 2)
     s = config.s if config.s is not None else default_s(params.m, params.q, N)
-    return N, s
+    p_fr1 = config.p_fr1 if config.p_fr1 is not None else float(N + 2)
+    if not s > max(0.0, params.m - 2.0 * params.q):
+        raise ValueError(f"diagnostics.s={s} violates s > max(0, m - 2q) "
+                         f"at m={params.m}, q={params.q}")
+    if not p_fr1 > (N + 2) / 2.0:
+        raise ValueError(f"diagnostics.p_fr1 must exceed (N+2)/2 = {(N + 2) / 2.0}, "
+                         f"got {p_fr1}")
+    return N, s, p_fr1
 
 
 def _safe_ratio(num: float, den: float) -> float:
@@ -85,12 +98,7 @@ class DiagnosticsTracker:
     def __init__(self, params: ModelParams, config: DiagnosticsConfig, v0: Field):
         self.params = params
         self.config = config
-        self.N, self.s = _analytic_N_s(params, config)
-        if not self.s > max(0.0, params.m - 2.0 * params.q):
-            raise ValueError(f"s={self.s} violates s > max(0, m - 2q)")
-        self.p_fr1 = config.p_fr1 if config.p_fr1 is not None else float(self.N + 2)
-        if not self.p_fr1 > (self.N + 2) / 2.0:
-            raise ValueError(f"p_fr1 must exceed (N+2)/2, got {self.p_fr1}")
+        self.N, self.s, self.p_fr1 = analytic_exponents(params, config)
         self.v_w1inf_0 = face_gradient_sup(v0) + lp_norm(v0, math.inf)
         self.gamma = None
         if params.m > params.q:
@@ -201,7 +209,7 @@ def ladder_for_run(times, u_samples, cell_volume, params: ModelParams,
                    config: DiagnosticsConfig, sup_u_overall: float) -> DeGiorgiLadder | None:
     """Ladder with K chosen by the configured policy; None when the run
     never produced a positive sup (nothing to truncate)."""
-    N, s = _analytic_N_s(params, config)
+    N, s, _ = analytic_exponents(params, config)
     m_s, _ = exponent_ms_qs(s, params.m, params.q, N)
     if config.ladder_k_mode == "fixed":
         K = config.ladder_k_value

@@ -7,7 +7,8 @@ One step advances (u, v) by operator splitting:
          u1 - dt lap_h w(u1) = u0 - dt div F_chem(u0, v0),  w = (u+sigma)^m,
 
      solved by Newton in the Kirchhoff potential w.  The chemotactic face
-     flux is donor-cell upwinded and budgeted so the right-hand side stays
+     flux is donor-cell upwinded; the speed bound keeps each cell's outgoing
+     chemotactic mass within its content, so the right-hand side stays
      nonnegative.  u1 is formed in flux form from the total face flux,
      diffusive -(w_R - w_L)/h plus chemotactic, so total mass telescopes
      exactly.  Cells a slightly inexact solve would leave negative are
@@ -27,16 +28,17 @@ earlier, at an Eisenstat-Walker forcing term times the current Newton
 residual (inexact Newton, see _StepWork.diffusion_update).
 
 Diffusion is unconditionally stable, so there is no h^2 cap.  The time step
-is safety * min(chemotactic bound, accuracy bound, dt_max): the chemotactic
-bound is an advective speed bound plus a donor-cell outflow budget (outgoing
-chemotactic flux * dt <= cell content), and the accuracy bound lets one step
-change sup u by at most the fraction safety / (2 dim) at the pre-step rate.
+is safety * min(chemotactic speed bound, accuracy bound, dt_max).  The speed
+bound h_min / (2 dim max face speed) keeps a cell's outgoing chemotactic flux
+* dt within safety times its content (see _StepWork.dt_advection), and the
+accuracy bound lets one step change sup u by at most the fraction
+safety / (2 dim) at the pre-step rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,10 +79,12 @@ class StepControl:
                              f"{self.v_solve_max_iters}, {self.max_steps}")
 
 
-@dataclass(frozen=True)
-class StepFlags:
-    dt_collapsed: bool = False
-    nonfinite_detected: bool = False
+REACHED_T = "reached_T"
+DT_COLLAPSED = "dt_collapsed"
+NONFINITE = "nonfinite"
+SUP_THRESHOLD = "sup_threshold"
+MAX_STEPS = "max_steps"
+WALL_BUDGET = "wall_budget"
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,8 @@ class StepOutcome:
     v_solve_iters: int
     # inner CG iterations of the Newton diffusion solve, over every attempt
     u_solve_iters: int = 0
-    flags: StepFlags = field(default_factory=StepFlags)
+    # DT_COLLAPSED or NONFINITE when the run must stop here, else None
+    stop: str | None = None
     # sup |grad v| of the pre-step v, reused by run-level monitors when the
     # flux assembly already produced the gradients (nan otherwise)
     sup_grad_v: float = math.nan
@@ -274,9 +279,9 @@ class _StepWork:
     bounds at the pre-step state, plus the implicit diffusion solve.
 
     Face fluxes are kept on interior faces only (boundary faces are
-    identically zero) and the donor-cell outflow budget shares the same
-    rate arrays as the chemotaxis update.  The diffusive rate lap_h w(u)
-    enters only the accuracy bound; diffusion itself is implicit.
+    identically zero).  The chemotactic bound is the largest face speed;
+    the diffusive rate lap_h w(u) enters only the accuracy bound, since
+    diffusion itself is implicit.
     """
 
     def __init__(self, u: Field, v: Field, params: ModelParams):
@@ -335,16 +340,15 @@ class _StepWork:
         self.rate_max = float(np.abs(rate).max()) if self.finite else math.inf
 
     def dt_advection(self) -> float:
-        """min of h/(2 dim max face speed) and the donor outflow budget
-        (total outgoing chemotactic flux * dt <= cell content)."""
-        h = min(self.grid.spacing)
-        dt_speed = math.inf if self.speed_max == 0.0 else h / (2.0 * self.grid.dim * self.speed_max)
-        busy = self.out_rate > 0.0
-        if np.any(busy):
-            budget = float((self.u.values[busy] / self.out_rate[busy]).min())
-        else:
-            budget = math.inf
-        return min(dt_speed, budget)
+        """h_min / (2 dim max face speed), the speed being u_donor^(q-1) |dv|.
+
+        This also bounds each cell's outflow: an outgoing face of cell i
+        carries u_i^q |dv_f| / h_f <= u_i speed_max / h_min, and a cell has
+        at most 2 dim faces, so dt * out_rate_i <= u_i at this dt.
+        """
+        if self.speed_max == 0.0:
+            return math.inf
+        return min(self.grid.spacing) / (2.0 * self.grid.dim * self.speed_max)
 
     def dt_accuracy(self) -> float:
         """sup u / (2 dim sup |du/dt|), the rate being the full explicit
@@ -367,10 +371,16 @@ class _StepWork:
         return dt
 
     def chemotaxis_update(self, dt: float) -> np.ndarray:
-        """Conservative explicit chemotaxis update; outgoing mass is removed
-        before incoming mass is added so budgeted cells cannot round below
-        zero."""
-        return (self.u.values - dt * self.out_rate) + dt * self.in_rate
+        """Conservative explicit chemotaxis update: outgoing mass is removed,
+        then incoming mass is added.
+
+        At a dt within the speed bound the outgoing part is at most safety
+        times the content, so the clip at zero only removes rounding residue
+        (about 1e-17 when safety = 1 and the bound is attained); below
+        safety = 1 every cell keeps at least (1 - safety) u and the clip
+        never acts.
+        """
+        return np.maximum(self.u.values - dt * self.out_rate, 0.0) + dt * self.in_rate
 
     def flux_update(self, r: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
         """u1 = r + dt lap_h w in flux form: every face moves the amount
@@ -530,19 +540,17 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
     The step lands exactly on t_stop when it would otherwise pass it.  Mass
     of u telescopes exactly and u stays nonnegative (see
     _StepWork.flux_update).  If the Newton solve does not converge the
-    step is retried at half the dt; a dt below ctrl.dt_min flags
-    dt_collapsed."""
+    step is retried at half the dt; a dt below ctrl.dt_min stops with
+    DT_COLLAPSED and a non-finite state with NONFINITE."""
     work = _StepWork(state.u, state.v, params)
     if not work.finite:
-        return StepOutcome(state=state, dt_used=0.0, v_solve_iters=0,
-                           flags=StepFlags(nonfinite_detected=True))
+        return StepOutcome(state=state, dt_used=0.0, v_solve_iters=0, stop=NONFINITE)
     dt = work.dt(ctrl)
     u_iters = 0
     while True:
         if dt < ctrl.dt_min:
             return StepOutcome(state=state, dt_used=0.0, v_solve_iters=0,
-                               u_solve_iters=u_iters,
-                               flags=StepFlags(dt_collapsed=True))
+                               u_solve_iters=u_iters, stop=DT_COLLAPSED)
         t_new = state.t + dt
         if t_new >= t_stop:
             dt, t_new = t_stop - state.t, t_stop
@@ -559,21 +567,10 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
 
     new_state = SimState(u=u_new, v=v_new, t=t_new, step=state.step + 1)
     # one-reduction finiteness probe: any nan/inf poisons the sum
-    if not math.isfinite(float(u_new.values.sum()) + float(v_new.values.sum())):
-        return StepOutcome(state=new_state, dt_used=dt, v_solve_iters=iters,
-                           u_solve_iters=u_iters,
-                           flags=StepFlags(nonfinite_detected=True),
-                           sup_grad_v=work.sup_grad_v)
+    finite = math.isfinite(float(u_new.values.sum()) + float(v_new.values.sum()))
     return StepOutcome(state=new_state, dt_used=dt, v_solve_iters=iters,
-                       u_solve_iters=u_iters, sup_grad_v=work.sup_grad_v)
-
-
-REACHED_T = "reached_T"
-DT_COLLAPSED = "dt_collapsed"
-NONFINITE = "nonfinite"
-SUP_THRESHOLD = "sup_threshold"
-MAX_STEPS = "max_steps"
-WALL_BUDGET = "wall_budget"
+                       u_solve_iters=u_iters, stop=None if finite else NONFINITE,
+                       sup_grad_v=work.sup_grad_v)
 
 
 @dataclass(eq=False)
@@ -596,7 +593,7 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
         horizon: float, samples: int = 11, tracker=None,
         sup_threshold_multiple: float = 1e4,
         wall_clock_budget: float | None = None) -> RunResult:
-    """Integrate from the initial data to time `horizon` or a stopping flag.
+    """Integrate from the initial data to time `horizon` or a stop reason.
 
     Diagnostics records are emitted at `samples` evenly spaced times
     (including t = 0 and the final state); the sampled u fields are kept
@@ -648,11 +645,8 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
         outcome = step(state, params, ctrl, t_stop=targets[next_target])
         u_iters += outcome.u_solve_iters
         v_iters += outcome.v_solve_iters
-        if outcome.flags.dt_collapsed:
-            termination = DT_COLLAPSED
-            break
-        if outcome.flags.nonfinite_detected:
-            termination = NONFINITE
+        if outcome.stop is not None:
+            termination = outcome.stop
             break
         state = outcome.state
 

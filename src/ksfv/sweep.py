@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .config import RunConfig, SweepConfig
 from .diagnostics import DiagnosticsTracker
 from .model import classify_regime
-from .solver import DT_COLLAPSED, NONFINITE, REACHED_T, SUP_THRESHOLD, run
+from .solver import DT_COLLAPSED, NONFINITE, REACHED_T, SUP_THRESHOLD, RunResult, run
 
 BOUNDED = "Bounded"
 BLOW_UP = "BlowUp"
@@ -30,26 +30,27 @@ class Classification:
     monotone_growth: bool
 
 
-def classify_run(records: list, termination: str, bounded_multiple: float,
-                 running_max_sup_u: float | None = None) -> Classification:
+def classify_run(result: RunResult, bounded_multiple: float) -> Classification:
     """Map a finished run onto {Bounded, BlowUp, Inconclusive}.
 
-    BlowUp when a stopping flag fired; Bounded when the horizon was reached
-    and sup u stayed within bounded_multiple times its initial value;
-    Inconclusive otherwise.  A bounded run whose sampled sup u grew
-    monotonically is flagged for human review (it may simply not have blown
-    up yet).
+    BlowUp when the run stopped on a blow-up reason; Bounded when the
+    horizon was reached and the running max of sup u stayed within
+    bounded_multiple times its initial value; Inconclusive otherwise.  A
+    bounded run whose sampled sup u grew monotonically is flagged for human
+    review (it may simply not have blown up yet).  The sampled sups are
+    u.max() of the stored samples (the records' sup_u, as u >= 0), so a
+    run without a tracker is labelled the same way.
     """
-    if not records:
-        raise ValueError("empty diagnostics series")
-    if termination in _BLOW_UP_REASONS:
+    if not result.u_samples:
+        raise ValueError("empty sample series")
+    if result.termination in _BLOW_UP_REASONS:
         return Classification(BLOW_UP, False)
 
-    sups = [rec.sup_u for rec in records]
-    peak = max(sups) if running_max_sup_u is None else running_max_sup_u
+    sups = [float(u.max()) for u in result.u_samples]
     initial = sups[0]
     monotone = all(a <= b for a, b in zip(sups, sups[1:])) and sups[-1] > initial
-    if termination == REACHED_T and (initial == 0.0 or peak <= bounded_multiple * initial):
+    if result.termination == REACHED_T and (
+            initial == 0.0 or result.running_max_sup_u <= bounded_multiple * initial):
         return Classification(BOUNDED, monotone)
     return Classification(INCONCLUSIVE, monotone)
 
@@ -81,9 +82,7 @@ def _sweep_point(args) -> dict:
         cfg = template.with_exponents(m, q)
         regime = classify_regime(cfg.model, max(cfg.model.dim, 2))
         result, _ = execute_run(cfg)
-        verdict = classify_run(result.records, result.termination,
-                               cfg.thresholds.bounded_multiple,
-                               running_max_sup_u=result.running_max_sup_u)
+        verdict = classify_run(result, cfg.thresholds.bounded_multiple)
         point.update({
             "regime": regime.value,
             "classification": verdict.label,

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ksfv.diagnostics import ladder_for_run
 from ksfv.outputs import (LADDER_CSV, METADATA_JSON, RUN_CSV, SWEEP_JSON,
                           emit_run_outputs, read_run_csv, run_csv_header,
                           write_sweep_json)
-from ksfv.sweep import (BLOW_UP, BOUNDED, INCONCLUSIVE, classify_run,
+from ksfv.solver import run
+from ksfv.sweep import (BLOW_UP, BOUNDED, INCONCLUSIVE, Classification, classify_run,
                         execute_run, run_sweep, sigma_ladder_report)
 
 
@@ -180,6 +182,18 @@ MALFORMED = [
                  "control: v_solve_max_iters and max_steps must be >= 1", id="max-steps-zero"),
     pytest.param(small_run_doc(diagnostics={"N": 1}),
                  "diagnostics: analytic dimension N must be >= 2", id="N-1"),
+    pytest.param(small_run_doc(diagnostics={"s": 0}),
+                 "run: diagnostics.s=0 violates s > max(0, m - 2q)", id="s-0"),
+    pytest.param(_sweep_template(diagnostics={"s": 0}),
+                 "template: diagnostics.s=0 violates s > max(0, m - 2q)", id="template-s-0"),
+    pytest.param(small_run_doc(diagnostics={"p_fr1": 1.5}),
+                 "run: diagnostics.p_fr1 must exceed (N+2)/2", id="p-fr1-small"),
+    pytest.param(small_run_doc(diagnostics={"ladder_n_max": -2}),
+                 "diagnostics: ladder_n_max must be >= 0", id="ladder-n-max-negative"),
+    pytest.param(small_run_doc(control={"dt_min": 0.05}),
+                 "run: control.dt_min 0.05 exceeds safety * dt_max", id="dt-min-collapses"),
+    pytest.param(small_run_doc(control={"dt_min": 1e-5, "dt_fixed": 1e-6}),
+                 "run: control.dt_fixed 1e-06 is below dt_min", id="dt-fixed-below-dt-min"),
     pytest.param(small_run_doc(initial={"preset": "random-nonneg"}, seed=-1),
                  "initial: seed must be >= 0", id="seed-negative"),
     pytest.param(_sweep_template(initial={"preset": "random-nonneg"}, seed=-1),
@@ -206,41 +220,58 @@ class TestMalformed:
         assert not (tmp_path / "o").exists()
 
 
-class FakeRecord:
-    def __init__(self, sup_u):
-        self.sup_u = sup_u
+def fake_result(sups, termination="reached_T"):
+    """A stand-in RunResult: what classify_run reads, with sampled sups."""
+    return SimpleNamespace(termination=termination, running_max_sup_u=max(sups, default=0.0),
+                           u_samples=[np.full((2, 2), sup) for sup in sups])
 
 
 class TestClassifyRun:
     def test_steady_bounded(self):
-        recs = [FakeRecord(1.0)] * 4
-        verdict = classify_run(recs, "reached_T", bounded_multiple=50.0)
+        verdict = classify_run(fake_result([1.0] * 4), bounded_multiple=50.0)
         assert verdict.label == BOUNDED
         assert not verdict.monotone_growth
 
     @pytest.mark.parametrize("reason", ["dt_collapsed", "nonfinite", "sup_threshold"])
     def test_stopping_flags_are_blow_up(self, reason):
-        verdict = classify_run([FakeRecord(1.0)], reason, 50.0)
+        verdict = classify_run(fake_result([1.0], reason), 50.0)
         assert verdict.label == BLOW_UP
 
     def test_bounded_with_monotone_growth_flag(self):
-        recs = [FakeRecord(s) for s in (1.0, 2.0, 10.0, 49.0)]
-        verdict = classify_run(recs, "reached_T", bounded_multiple=50.0)
+        verdict = classify_run(fake_result([1.0, 2.0, 10.0, 49.0]), bounded_multiple=50.0)
         assert verdict.label == BOUNDED
         assert verdict.monotone_growth
 
     def test_overgrown_run_inconclusive(self):
-        recs = [FakeRecord(s) for s in (1.0, 30.0, 80.0)]
-        verdict = classify_run(recs, "reached_T", bounded_multiple=50.0)
+        verdict = classify_run(fake_result([1.0, 30.0, 80.0]), bounded_multiple=50.0)
         assert verdict.label == INCONCLUSIVE
 
     def test_other_timeouts_inconclusive(self):
-        verdict = classify_run([FakeRecord(1.0)], "max_steps", 50.0)
+        verdict = classify_run(fake_result([1.0], "max_steps"), 50.0)
         assert verdict.label == INCONCLUSIVE
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            classify_run([], "reached_T", 50.0)
+            classify_run(fake_result([]), 50.0)
+
+    def test_run_without_tracker_labelled_alike(self):
+        # the sampled sups are the records' sup_u, so run() without a tracker
+        # gets the label execute_run's tracked run gets
+        doc = small_run_doc(model={"m": 1.0, "q": 1.0, "sigma": 1e-3},
+                            grid={"dim": 2, "cells": [16, 16]},
+                            initial={"preset": "gaussian-bump", "mass": 60.0,
+                                     "width": 0.15},
+                            horizon=0.08, samples=4)
+        cfg = parse_config(json.dumps(doc))
+        tracked, _ = execute_run(cfg)
+        bare = run(cfg.make_initial(), cfg.model, cfg.control, cfg.horizon,
+                   samples=cfg.samples,
+                   sup_threshold_multiple=cfg.thresholds.sup_multiple)
+        assert bare.records == [] and len(tracked.records) == cfg.samples
+        assert [rec.sup_u for rec in tracked.records] == [u.max() for u in tracked.u_samples]
+        verdict = classify_run(tracked, cfg.thresholds.bounded_multiple)
+        assert classify_run(bare, cfg.thresholds.bounded_multiple) == verdict
+        assert verdict == Classification(BOUNDED, True)
 
 
 class TestSweep:
@@ -253,9 +284,7 @@ class TestSweep:
 
         run_cfg = sweep_cfg.template.with_exponents(2.0, 1.0)
         res, _ = execute_run(run_cfg)
-        verdict = classify_run(res.records, res.termination,
-                               run_cfg.thresholds.bounded_multiple,
-                               running_max_sup_u=res.running_max_sup_u)
+        verdict = classify_run(res, run_cfg.thresholds.bounded_multiple)
         assert pt["classification"] == verdict.label
         assert pt["termination"] == res.termination
 

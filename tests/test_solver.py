@@ -151,8 +151,8 @@ class TestComputeDt:
             prev = dt
 
     def test_outflow_budget_protects_content(self):
-        # one nearly-empty cell next to a steep v gradient: dt must keep
-        # outgoing flux * dt below the donor content
+        # one nearly-empty cell next to a steep v gradient: the speed bound
+        # keeps outgoing flux * dt below the donor content
         g = grid1d(4, 4.0)
         u_vals = np.array([1e-6, 1.0, 1.0, 1.0])
         v_vals = np.array([10.0, 0.0, 0.0, 0.0])
@@ -163,6 +163,55 @@ class TestComputeDt:
         outcome = step(st, params, ctrl)
         assert dt > 0
         assert outcome.state.u.min() >= 0.0
+
+    def test_half_step_at_full_safety_stays_nonnegative(self):
+        # v has a V-shaped minimum at cell 3, so cell 3 emits on both faces at
+        # the largest speed and dt * out_rate equals its content up to
+        # rounding at safety = 1; without the clip the half-step rounds to
+        # -1.4e-17, and with sigma = 0 the potential of a negative cell is nan
+        g = grid1d(5, 0.5895310498242319)
+        u_vals = np.array([0.3346913534128531, 0.13751534194996284, 0.3309064525990087,
+                           0.11869262140858404, 0.9444052957502216])
+        v_vals = np.array([17.685931494726958, 11.790620996484638, 5.895310498242321,
+                           0.0, 5.895310498242321])
+        params = ModelParams(m=1.5, q=1.0, sigma=0.0, dim=1)
+        ctrl = StepControl(safety=1.0)
+        st = state_from(u_vals, v_vals, g)
+        work = _StepWork(st.u, st.v, params)
+        assert work.chemotaxis_update(work.dt(ctrl)).min() >= 0.0
+        out = step(st, params, ctrl)
+        assert np.isfinite(out.state.u.values).all()
+        assert out.state.u.min() >= 0.0
+        assert out.stop is None
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_speed_bound_caps_outflow(self, dim):
+        # random states on non-square cells, half of them with v V-shaped
+        # around a cell, where the bound is attained: at the step's dt each
+        # cell emits at most safety times its content, and the half-step is
+        # nonnegative
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(31 + dim)
+        for k in range(1500):
+            cells = tuple(int(n) for n in rng.integers(3, 9, dim))
+            extent = tuple(float(x) for x in rng.uniform(0.5, 2.0, dim))
+            g = GridSpec(dim=dim, cells=cells, extent=extent)
+            u = rng.uniform(0.0, 1.0, cells) * (rng.uniform(size=cells) < 0.9)
+            scale = float(rng.choice([0.2, 1.0, 5.0, 50.0]))
+            if k % 2:
+                centre = [int(rng.integers(0, n)) for n in cells]
+                index = np.indices(cells)
+                v = scale * sum(np.abs(index[a] - centre[a]) * g.spacing[a] for a in range(dim))
+            else:
+                v = scale * rng.uniform(0.0, 1.0, cells)
+            params = ModelParams(m=float(rng.choice([1.0, 1.5, 2.5])),
+                                 q=float(rng.choice([1.0, rng.uniform(0.25, 2.0)])),
+                                 sigma=0.0, dim=dim)
+            safety = float(rng.choice([1.0, 0.4, rng.uniform(0.1, 1.0)]))
+            work = _StepWork(Field(g, u), Field(g, v), params)
+            dt = work.dt(StepControl(safety=safety, dt_max=1e3))
+            assert (dt * work.out_rate <= safety * u * (1.0 + 4.0 * eps)).all()
+            assert work.chemotaxis_update(dt).min() >= 0.0
 
 
 class TestFluxUpdate:
@@ -417,7 +466,7 @@ class TestStep:
         params = ModelParams(m=3.0, q=1.0, sigma=0.0, dim=1)
         ctrl = StepControl(dt_min=1e-280, dt_max=1.0)
         out = step(st, params, ctrl)
-        assert out.flags.nonfinite_detected
+        assert out.stop == NONFINITE
 
     def test_dt_collapse_flag(self):
         g = grid2d(16)
@@ -425,7 +474,7 @@ class TestStep:
         params = ModelParams(m=2.0, q=1.0, sigma=0.0)
         ctrl = StepControl(dt_min=0.5, dt_max=1.0)  # unreachable floor
         out = step(st, params, ctrl)
-        assert out.flags.dt_collapsed
+        assert out.stop == DT_COLLAPSED
         assert out.dt_used == 0.0
         assert out.state is st
 
