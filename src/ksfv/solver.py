@@ -19,12 +19,15 @@ One step advances (u, v) by operator splitting:
      positive definite and an M-matrix, so the exact update preserves
      nonnegativity and the discrete maximum principle).
 
-Both implicit systems are symmetric positive definite and are solved by one
-conjugate-gradient routine, preconditioned by the exact inverse of a
-constant-coefficient operator in the cosine basis of the Neumann Laplacian.
-The v-solve and the Newton iteration stop at the residual 2-norm
-v_solve_tol * (1 + |rhs|); the CG solve of each Newton correction stops
-earlier, at an Eisenstat-Walker forcing term times the current Newton
+Both implicit systems are symmetric positive definite.  The exact inverse
+of a constant-coefficient operator a - dt lap_h in the cosine basis of the
+Neumann Laplacian solves the m = 1 Newton corrections outright, where the
+diffusion operator I - dt lap_h has constant coefficients.  One
+conjugate-gradient routine, preconditioned by that inverse, serves the
+variable-coefficient Newton corrections (m != 1) and the v-solve.  The
+v-solve and the Newton iteration stop at the residual 2-norm
+v_solve_tol * (1 + |rhs|); the CG solve of each m != 1 Newton correction
+stops earlier, at an Eisenstat-Walker forcing term times the current Newton
 residual (inexact Newton, see _StepWork.diffusion_update).
 
 Diffusion is unconditionally stable, so there is no h^2 cap.  The time step
@@ -168,21 +171,27 @@ class _Laplacian:
         return out
 
 
-def _cg(apply_A, rhs: np.ndarray, x: np.ndarray, tol: float, max_iters: int,
-        precond=None) -> int:
+def _cg(apply_A, rhs: np.ndarray, x: np.ndarray | None, tol: float, max_iters: int,
+        precond=None) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients for an SPD operator, in place on x.
 
-    Stops once the residual 2-norm is at most tol.  precond(r), when given,
-    applies a symmetric positive semidefinite approximate inverse; unknowns
-    it maps to zero keep their starting value (apply_A must then return
-    zero in those rows).  A non-finite residual ends the iteration at once:
-    the caller's finiteness probe reports it.  Returns the iteration count.
+    x = None starts from zero without applying A to it.  Stops once the
+    residual 2-norm is at most tol.  precond(r), when given, applies a
+    symmetric positive semidefinite approximate inverse; unknowns it maps
+    to zero keep their starting value (apply_A must then return zero in
+    those rows).  A non-finite residual ends the iteration at once: the
+    caller's finiteness probe reports it.  Returns the solution and the
+    iteration count.
     """
-    r = rhs - apply_A(x, np.empty_like(x))
+    if x is None:
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+    else:
+        r = rhs - apply_A(x, np.empty_like(x))
     rr = float(np.vdot(r, r))
     iters = 0
     if not math.sqrt(rr) > tol:  # converged, or nan
-        return iters
+        return x, iters
     z = r if precond is None else precond(r)
     rz = float(np.vdot(r, z))
     p = z.copy()
@@ -195,7 +204,7 @@ def _cg(apply_A, rhs: np.ndarray, x: np.ndarray, tol: float, max_iters: int,
         rr = float(np.vdot(r, r))
         iters += 1
         if not math.sqrt(rr) > tol:
-            return iters
+            return x, iters
         if iters >= max_iters:
             raise RuntimeError(
                 f"conjugate gradients failed to converge in {iters} iterations; "
@@ -223,19 +232,25 @@ def _cosine_basis(n: int) -> np.ndarray:
     return C
 
 
+@lru_cache(maxsize=None)
+def _sin2(n: int) -> np.ndarray:
+    """sin^2(pi k / (2n)), k = 0..n-1: the Neumann eigenvalue factors."""
+    s2 = np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+    s2.setflags(write=False)
+    return s2
+
+
 class _ShiftedLaplaceInverse:
     """Exact inverse of (a - dt lap_h) for a constant a, by the cosine
     basis that diagonalises the Neumann Laplacian."""
 
     def __init__(self, grid, a: float, dt: float):
         self.C = [_cosine_basis(n) for n in grid.cells]
-        denom = np.full(grid.cells, a)
-        for axis, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
-            lam = (4.0 * dt / h ** 2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
-            shape = [1] * grid.dim
-            shape[axis] = n
-            denom = denom + lam.reshape(shape)
-        self.inv_denom = 1.0 / denom
+        lam = [(4.0 * dt / h ** 2) * _sin2(n) for n, h in zip(grid.cells, grid.spacing)]
+        denom = a + lam[0]
+        if len(lam) == 2:
+            denom = np.add.outer(denom, lam[1])
+        self.inv_denom = np.divide(1.0, denom, out=denom)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if len(self.C) == 1:
@@ -268,8 +283,7 @@ class _Potential:
         return w if self.linear else _power(w, 1.0 / self.m) - self.sigma
 
     def du_dw(self, w: np.ndarray) -> np.ndarray:
-        if self.linear:
-            return np.ones_like(w)
+        """d u / d w for m != 1 (the m = 1 Newton solve does not need it)."""
         with np.errstate(divide="ignore"):
             return _power(w, 1.0 / self.m - 1.0) * (1.0 / self.m)
 
@@ -382,10 +396,12 @@ class _StepWork:
         """
         return np.maximum(self.u.values - dt * self.out_rate, 0.0) + dt * self.in_rate
 
-    def flux_update(self, r: np.ndarray, w: np.ndarray, dt: float) -> np.ndarray:
-        """u1 = r + dt lap_h w in flux form: every face moves the amount
-        dt (w_L - w_R)/h^2 from one cell to its neighbour, so the mass of
-        u1 equals that of r up to rounding.
+    def flux_update(self, r: np.ndarray, w: np.ndarray, lw: np.ndarray,
+                    dt: float) -> np.ndarray:
+        """u1 = r + dt lap_h w in flux form, lw being lap_h w as the solve
+        computed it: every face moves the amount dt (w_L - w_R)/h^2 from one
+        cell to its neighbour, so the mass of u1 equals that of r up to
+        rounding.
 
         The solve's error is absolute, so a cell whose exact value is below
         it (a far tail) can come out negative.  Such cells are limited: each
@@ -396,7 +412,7 @@ class _StepWork:
         end.  Mass stays exact because a scaled amount still leaves one cell
         and enters the other.
         """
-        u1 = r + dt * self.lap(w, np.empty_like(w))
+        u1 = r + dt * lw
         if not float(u1.min()) < 0.0:  # nonnegative, or non-finite
             return u1
         grid = self.grid
@@ -430,33 +446,44 @@ class _StepWork:
             u1 += inflow
 
     def diffusion_update(self, r: np.ndarray, dt: float, ctrl: StepControl
-                         ) -> tuple[np.ndarray | None, int, int]:
+                         ) -> tuple[np.ndarray | None, np.ndarray | None, int, int]:
         """Potential w of the backward-Euler diffusion u1 - dt lap_h w(u1) = r,
-        by inexact Newton in w from w(r), with the number of corrections and
-        of their inner CG iterations; w is None if Newton has not converged
-        after _NEWTON_MAX_ITERS corrections.
+        by Newton in w from w(r), with lap_h w as the last residual test
+        computed it, the number of corrections and of their inner CG
+        iterations; w and lap_h w are None if Newton has not converged after
+        _NEWTON_MAX_ITERS corrections.
 
-        Each correction solves (diag(du/dw) - dt lap_h) dw = -res, which is
-        symmetric positive definite, by preconditioned CG; w is kept at or
-        above w(0).  Vacuum cells of a degenerate potential (sigma = 0,
-        m > 1, where du/dw is infinite) are pinned at w = 0: they can
-        receive mass in this step but emit none.  Newton stops once the
-        residual 2-norm over the unpinned cells is at most
-        tol = v_solve_tol * (1 + |r|).  Correction k's CG stops at
-        max(tol, eta_k |res_k|), with the Eisenstat-Walker forcing term
-        (choice 2: eta_0 = 0.5, eta_k = 0.9 (|res_k| / |res_k-1|)^2,
-        safeguarded by 0.9 eta_k-1^2 once that exceeds 0.1, capped at 0.9),
-        so early corrections are not solved past what their residual needs.
+        Newton stops once the residual 2-norm over the unpinned cells is at
+        most tol = v_solve_tol * (1 + |r|), and w is kept at or above w(0)
+        after each correction.  At m = 1 the Jacobian I - dt lap_h has
+        constant coefficients, so each correction is one application of its
+        exact inverse in the cosine basis, with no CG.  Otherwise correction
+        k solves (diag(du/dw) - dt lap_h) dw = -res, which is symmetric
+        positive definite, by preconditioned CG (inexact Newton).  Vacuum
+        cells of a degenerate potential (sigma = 0, m > 1, where du/dw is
+        infinite) are pinned at w = 0: they can receive mass in this step
+        but emit none.  Correction k's CG stops at max(tol, eta_k |res_k|),
+        with the Eisenstat-Walker forcing term (choice 2: eta_0 = 0.5,
+        eta_k = 0.9 (|res_k| / |res_k-1|)^2, safeguarded by 0.9 eta_k-1^2
+        once that exceeds 0.1, capped at 0.9), so early corrections are not
+        solved past what their residual needs.
         """
         pot, lap = self.potential, self.lap
         w = pot.w(r).copy()
         lw = np.empty_like(w)
         tol = ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(r)))
+        exact = _ShiftedLaplaceInverse(self.grid, 1.0, dt) if pot.linear else None
         cg_iters = 0
         eta, prev_norm = 0.5, math.nan
         for k in range(_NEWTON_MAX_ITERS):
             lap(w, lw)
             res = pot.u(w) - r - dt * lw
+            if exact is not None:
+                if not float(np.linalg.norm(res)) > tol:  # converged, or non-finite
+                    return w, lw, k, cg_iters
+                w -= exact(res)
+                np.maximum(w, pot.floor, out=w)
+                continue
             d = pot.du_dw(w)
             active = np.isfinite(d)
             pinned = not active.all()
@@ -465,7 +492,7 @@ class _StepWork:
                 res[~active] = 0.0
             res_norm = float(np.linalg.norm(res))
             if not res_norm > tol:  # converged, or non-finite
-                return w, k, cg_iters
+                return w, lw, k, cg_iters
             if k:
                 safeguard = 0.9 * eta * eta
                 eta = 0.9 * (res_norm / prev_norm) ** 2
@@ -491,12 +518,12 @@ class _StepWork:
                 self.grid, float((d * inv_diag).sum()) / n_active,
                 dt * float(inv_diag.sum()) / n_active)
             scale = np.sqrt(inv_diag)
-            dw = np.zeros_like(w)
-            cg_iters += _cg(apply_J, -res, dw, max(tol, eta * res_norm),
+            dw, iters = _cg(apply_J, -res, None, max(tol, eta * res_norm),
                             ctrl.v_solve_max_iters, lambda x: scale * shifted(scale * x))
+            cg_iters += iters
             w += dw
             np.maximum(w, pot.floor, out=w)
-        return None, _NEWTON_MAX_ITERS, cg_iters
+        return None, None, _NEWTON_MAX_ITERS, cg_iters
 
 
 def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl,
@@ -506,7 +533,10 @@ def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl,
     Conjugate gradients on the matrix-free SPD operator, warm-started from
     the previous v, to residual 2-norm <= v_solve_tol * (1 + |rhs|).  The
     preconditioner is the operator's own inverse in the cosine basis, so
-    one iteration normally suffices at any dt.  The
+    one iteration normally suffices at any dt.  The warm start matters at
+    a steady state: there the previous v is the exact solution and CG does
+    not move it, where one preconditioned step from zero would leave
+    rounding of about 1e-11 in a constant state.  The
     exact solution of this M-matrix system is nonnegative for nonnegative
     inputs; in that case (and only then) the iterate is projected onto
     [0, inf) to remove solver-tolerance undershoot.  Signed inputs are
@@ -525,8 +555,8 @@ def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl,
         out += (1.0 + dt) * p
         return out
 
-    iters = _cg(apply_A, rhs, x, ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(rhs))),
-                ctrl.v_solve_max_iters, _ShiftedLaplaceInverse(grid, 1.0 + dt, dt))
+    x, iters = _cg(apply_A, rhs, x, ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(rhs))),
+                   ctrl.v_solve_max_iters, _ShiftedLaplaceInverse(grid, 1.0 + dt, dt))
     if float(v.values.min()) >= 0.0 and float(u.values.min()) >= 0.0:
         x = np.maximum(x, 0.0)
     return Field(grid, x, allow_nonfinite=True), iters
@@ -555,10 +585,10 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
         if t_new >= t_stop:
             dt, t_new = t_stop - state.t, t_stop
         r = work.chemotaxis_update(dt)
-        w, _, cg_iters = work.diffusion_update(r, dt, ctrl)
+        w, lw, _, cg_iters = work.diffusion_update(r, dt, ctrl)
         u_iters += cg_iters
         if w is not None:
-            u_vals = work.flux_update(r, w, dt)
+            u_vals = work.flux_update(r, w, lw, dt)
             break
         dt *= 0.5
 

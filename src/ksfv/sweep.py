@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .config import RunConfig, SweepConfig
-from .diagnostics import DiagnosticsTracker
+from .diagnostics import DiagnosticsTracker, analytic_exponents
 from .model import classify_regime
 from .solver import DT_COLLAPSED, NONFINITE, REACHED_T, SUP_THRESHOLD, RunResult, run
 
@@ -80,7 +80,8 @@ def _sweep_point(args) -> dict:
     point = {"i": i, "j": j, "m": m, "q": q}
     try:
         cfg = template.with_exponents(m, q)
-        regime = classify_regime(cfg.model, max(cfg.model.dim, 2))
+        N, _, _ = analytic_exponents(cfg.model, cfg.diagnostics)
+        regime = classify_regime(cfg.model, N)
         result, _ = execute_run(cfg)
         verdict = classify_run(result, cfg.thresholds.bounded_multiple)
         point.update({

@@ -288,6 +288,15 @@ class TestSweep:
         assert pt["classification"] == verdict.label
         assert pt["termination"] == res.termination
 
+    def test_regime_uses_analytic_dimension(self):
+        # at (m, q) = (0.35, 0.5) the H4 lower edge q + (q-1)/(N+1) is 0.333
+        # at N = 2 and 0.375 at N = 3: a set diagnostics.N decides the regime
+        doc = small_sweep_doc(m_grid=(0.35,), q_grid=(0.5,))
+        doc["template"]["diagnostics"] = {"N": 3}
+        (pt,) = run_sweep(parse_config(json.dumps(doc))).points
+        assert pt["error"] is None
+        assert pt["regime"] == "Outside"
+
     def test_worker_counts_agree_byte_for_byte(self, tmp_path):
         doc = small_sweep_doc(m_grid=(1.0, 2.0), q_grid=(0.5, 1.0))
         outs = []

@@ -7,9 +7,9 @@ from ksfv import solver
 from ksfv.grid import Field, GridSpec, constant_field, integrate, lp_norm
 from ksfv.model import InitialData, ModelParams, make_initial_data
 from ksfv.solver import (DT_COLLAPSED, MAX_STEPS, NONFINITE, REACHED_T,
-                         SUP_THRESHOLD, SimState, StepControl, _Laplacian,
-                         _Potential, _StepWork, _chemotactic_flux, _power,
-                         advance_v, run, step)
+                         SUP_THRESHOLD, SimState, StepControl, _cg, _Laplacian,
+                         _Potential, _ShiftedLaplaceInverse, _StepWork,
+                         _chemotactic_flux, _power, advance_v, run, step)
 
 
 def grid1d(n=8, L=1.0):
@@ -223,7 +223,8 @@ class TestFluxUpdate:
         st = state_from(np.ones(3), np.zeros(3), g)
         work = _StepWork(st.u, st.v, ModelParams(m=1.0, q=1.0, dim=1))
         r = np.array([1.0, 1e-12, 1.0])
-        u1 = work.flux_update(r, np.array([0.0, 1.0, 0.0]), 1.0)
+        w = np.array([0.0, 1.0, 0.0])
+        u1 = work.flux_update(r, w, work.lap(w, np.empty(3)), 1.0)
         assert u1.min() >= 0.0
         assert u1.sum() == pytest.approx(r.sum(), rel=1e-15)
         assert u1[1] == pytest.approx(0.5e-12, rel=1e-12)
@@ -266,19 +267,21 @@ class TestDiffusionUpdate:
     def test_outer_residual_meets_tolerance(self, m, tol):
         # a supercritical bump (sup 900) at a large dt needs several
         # corrections; the loose inner solves must not loosen the outer test
-        g, params, ctrl, r, w, corrections, cg_iters = self.solve(
+        g, params, ctrl, r, w, lw, corrections, cg_iters = self.solve(
             32, m, 0.1, 1.5 * 8 * math.pi, 0.08, tol)
         assert w is not None
         assert corrections > 1 and cg_iters >= corrections
         pot = _Potential(params)
-        res = pot.u(w) - r - 0.1 * _Laplacian(g)(w, np.empty_like(w))
+        # the returned lap_h w is the accepting residual test's, bit for bit
+        assert lw.tobytes() == _Laplacian(g)(w, np.empty_like(w)).tobytes()
+        res = pot.u(w) - r - 0.1 * lw
         assert np.isfinite(pot.du_dw(w)).all()  # sigma > 0: no pinned cell
         assert np.linalg.norm(res) <= ctrl.v_solve_tol * (1.0 + np.linalg.norm(r))
 
     @pytest.mark.parametrize("m", [1.5, 2.0])
     def test_matches_dense_newton(self, m):
         n, dt = 12, 0.05
-        g, params, _, r, w, _, _ = self.solve(n, m, dt, 5.0, 0.2)
+        g, params, _, r, w, *_ = self.solve(n, m, dt, 5.0, 0.2)
         L = neumann_laplacian_2d(n)
         rf, s = r.ravel(), params.sigma
         ref = (rf + s) ** m
@@ -292,10 +295,53 @@ class TestDiffusionUpdate:
         assert np.abs(w.ravel() - ref).max() <= 1e-8 * np.abs(ref).max()
 
     def test_linear_potential_one_correction_one_iteration(self):
-        # at m = 1 the preconditioner is the exact inverse of the Jacobian
-        *_, w, corrections, cg_iters = self.solve(32, 1.0, 0.1, 1.5 * 8 * math.pi, 0.08)
+        # at m = 1 the correction is the exact inverse of I - dt lap_h
+        # applied once, with no CG
+        *_, w, _, corrections, cg_iters = self.solve(32, 1.0, 0.1, 1.5 * 8 * math.pi, 0.08)
         assert w is not None
-        assert (corrections, cg_iters) == (1, 1)
+        assert (corrections, cg_iters) == (1, 0)
+
+    def test_linear_potential_matches_dense_solve(self):
+        n, dt = 12, 0.05
+        g, _, _, r, w, lw, _, _ = self.solve(n, 1.0, dt, 5.0, 0.2)
+        ref = np.linalg.solve(np.eye(n * n) - dt * neumann_laplacian_2d(n), r.ravel())
+        assert np.abs(w.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert lw.tobytes() == _Laplacian(g)(w, np.empty_like(w)).tobytes()
+
+
+class TestConjugateGradients:
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_zero_start_matches_explicit_zeros(self, pinned):
+        # a Newton-correction-like system diag(d) - dt lap_h, with the
+        # pinned rows of a degenerate potential zeroed as diffusion_update
+        # zeroes them; starting from None must not change a bit
+        rng = np.random.default_rng(109)
+        g, dt = grid2d(16), 0.05
+        lap = _Laplacian(g)
+        d = rng.uniform(0.1, 10.0, g.cells)
+        active = rng.uniform(size=g.cells) > (0.2 if pinned else -1.0)
+        d *= active
+        rhs = -np.where(active, rng.normal(size=g.cells), 0.0)
+
+        def apply_J(x, out):
+            lap(x, out)
+            out *= -dt
+            out += d * x
+            out *= active
+            return out
+
+        inv_diag = active / (d + dt * lap.diag)
+        scale = np.sqrt(inv_diag)
+        shifted = _ShiftedLaplaceInverse(g, float((d * inv_diag).mean()),
+                                         dt * float(inv_diag.mean()))
+
+        def precond(x):
+            return scale * shifted(scale * x)
+
+        x0, it0 = _cg(apply_J, rhs, np.zeros(g.cells), 1e-9, 500, precond)
+        x1, it1 = _cg(apply_J, rhs, None, 1e-9, 500, precond)
+        assert it0 == it1 > 1
+        assert x1.tobytes() == x0.tobytes()
 
 
 class TestAdvanceV:
@@ -364,6 +410,17 @@ class TestStep:
             st = step(st, params, ctrl).state
         assert lp_norm(Field(g, st.u.values - 1.0), math.inf) <= 1e-13
         assert lp_norm(Field(g, st.v.values - 1.0), math.inf) <= 1e-12
+
+    def test_constant_state_linear_bitwise(self):
+        # m = q = 1: a constant state is a steady state of the step to the
+        # last bit (criterion 3 covers m = 2, to 1e-13)
+        g = grid2d(16)
+        st = state_from(np.ones((16, 16)), np.ones((16, 16)), g)
+        params = ModelParams(m=1.0, q=1.0, sigma=1e-3)
+        ctrl = StepControl()
+        for _ in range(1000):
+            st = step(st, params, ctrl).state
+        assert (st.u.values == 1.0).all() and (st.v.values == 1.0).all()
 
     def test_mass_exact_per_step(self):
         rng = np.random.default_rng(109)
