@@ -7,7 +7,7 @@ One step advances (u, v) by operator splitting:
          u1 - dt lap_h w(u1) = u0 - dt div F_chem(u0, v0),  w = (u+sigma)^m,
 
      solved by Newton in the Kirchhoff potential w.  The chemotactic face
-     flux is donor-cell upwinded; the speed bound keeps each cell's outgoing
+     flux is donor-cell upwinded, and dt keeps each cell's outgoing
      chemotactic mass within its content, so the right-hand side stays
      nonnegative.  u1 is formed in flux form from the total face flux,
      diffusive -(w_R - w_L)/h plus chemotactic, so total mass telescopes
@@ -31,10 +31,10 @@ stops earlier, at an Eisenstat-Walker forcing term times the current Newton
 residual (inexact Newton, see _StepWork.diffusion_update).
 
 Diffusion is unconditionally stable, so there is no h^2 cap.  The time step
-is safety * min(chemotactic speed bound, accuracy bound, dt_max).  The speed
-bound h_min / (2 dim max face speed) keeps a cell's outgoing chemotactic flux
-* dt within safety times its content (see _StepWork.dt_advection), and the
-accuracy bound lets one step change sup u by at most the fraction
+is safety * min(chemotactic outflow bound, accuracy bound, dt_max).  The
+outflow bound min_i u_i / out_rate_i keeps each cell's outgoing chemotactic
+flux * dt within safety times its content (see _StepWork.dt_advection), and
+the accuracy bound lets one step change sup u by at most the fraction
 safety / (2 dim) at the pre-step rate.
 """
 
@@ -66,7 +66,7 @@ class StepControl:
     v_solve_tol: float = 1e-10
     v_solve_max_iters: int = 20000
     max_steps: int = 50_000_000
-    dt_fixed: float | None = None   # capped at the chemotactic and accuracy bounds when set
+    dt_fixed: float | None = None   # capped at the outflow and accuracy bounds when set
 
     def __post_init__(self):
         if not 0.0 < self.safety <= 1.0:
@@ -127,13 +127,11 @@ def _chemotactic_flux(uq: np.ndarray, v: np.ndarray, axis: int, h: float):
 
     The donor is the left cell where the face gradient of v is positive
     (transport toward +axis) and the right cell otherwise, so an empty
-    donor carries no flux.  Returns the flux, the face gradient and the
-    mask of faces whose donor is the left cell.
+    donor carries no flux.  Returns the flux and the face gradient.
     """
     left, right = _slices(v.ndim, axis)
     dv = (v[right] - v[left]) * (1.0 / h)
-    uphill = dv > 0.0
-    return np.where(uphill, uq[left], uq[right]) * dv, dv, uphill
+    return np.where(dv > 0.0, uq[left], uq[right]) * dv, dv
 
 
 class _Laplacian:
@@ -293,16 +291,15 @@ class _StepWork:
     bounds at the pre-step state, plus the implicit diffusion solve.
 
     Face fluxes are kept on interior faces only (boundary faces are
-    identically zero).  The chemotactic bound is the largest face speed;
-    the diffusive rate lap_h w(u) enters only the accuracy bound, since
-    diffusion itself is implicit.
+    identically zero).  The chemotactic bound is each cell's content over
+    its outflow rate; the diffusive rate lap_h w(u) enters only the
+    accuracy bound, since diffusion itself is implicit.
     """
 
     def __init__(self, u: Field, v: Field, params: ModelParams):
         grid = u.grid
         dim = grid.dim
         uv = u.values
-        q = params.q
 
         self.lap = _Laplacian(grid)
         self.potential = _Potential(params)
@@ -312,27 +309,17 @@ class _StepWork:
 
         out_rate = np.zeros(grid.cells)
         in_rate = np.zeros(grid.cells)
-        speed_max = 0.0
         sup_dv = math.nan
         if params.chemotaxis:
             sup_dv = 0.0
-            uq = _power(uv, q)
+            uq = _power(uv, params.q)
             vv = v.values
             for axis in range(dim):
                 h = grid.spacing[axis]
                 left, right = _slices(dim, axis)
-                F, dv, uphill = _chemotactic_flux(uq, vv, axis, h)
-                abs_dv_max = float(np.abs(dv).max()) if dv.size else 0.0
-                sup_dv = max(sup_dv, abs_dv_max)
-                if q == 1.0:
-                    sp_max = abs_dv_max
-                else:
-                    donor = np.where(uphill, uv[left], uv[right])
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        sp = np.where(donor > 0.0,
-                                      _power(donor, q - 1.0) * np.abs(dv), 0.0)
-                    sp_max = float(sp.max()) if sp.size else 0.0
-                speed_max = max(speed_max, sp_max)
+                F, dv = _chemotactic_flux(uq, vv, axis, h)
+                if dv.size:
+                    sup_dv = max(sup_dv, float(np.abs(dv).max()))
                 with np.errstate(invalid="ignore"):
                     Fp = np.maximum(F, 0.0)
                     Fm = Fp - F  # max(-F, 0), reusing the clipped array
@@ -349,20 +336,22 @@ class _StepWork:
         self.u = u
         self.out_rate = out_rate
         self.in_rate = in_rate
-        self.speed_max = speed_max
         self.sup_grad_v = sup_dv
         self.rate_max = float(np.abs(rate).max()) if self.finite else math.inf
 
     def dt_advection(self) -> float:
-        """h_min / (2 dim max face speed), the speed being u_donor^(q-1) |dv|.
+        """min over emitting cells of u_i / out_rate_i: the largest dt at
+        which no cell's donor-cell outflow exceeds its content.
 
-        This also bounds each cell's outflow: an outgoing face of cell i
-        carries u_i^q |dv_f| / h_f <= u_i speed_max / h_min, and a cell has
-        at most 2 dim faces, so dt * out_rate_i <= u_i at this dt.
+        It is never below the face-speed bound h_min / (2 dim max u_donor^(q-1)
+        |dv|), which caps every outgoing face of a cell and so over-counts
+        a cell that emits through fewer than 2 dim faces, or through flatter
+        ones.
         """
-        if self.speed_max == 0.0:
+        emitting = self.out_rate > 0.0
+        if not emitting.any():
             return math.inf
-        return min(self.grid.spacing) / (2.0 * self.grid.dim * self.speed_max)
+        return float((self.u.values[emitting] / self.out_rate[emitting]).min())
 
     def dt_accuracy(self) -> float:
         """sup u / (2 dim sup |du/dt|), the rate being the full explicit
@@ -388,9 +377,9 @@ class _StepWork:
         """Conservative explicit chemotaxis update: outgoing mass is removed,
         then incoming mass is added.
 
-        At a dt within the speed bound the outgoing part is at most safety
+        At a dt within the outflow bound the outgoing part is at most safety
         times the content, so the clip at zero only removes rounding residue
-        (about 1e-17 when safety = 1 and the bound is attained); below
+        (about 1e-17 when safety = 1, at the cell that sets the bound); below
         safety = 1 every cell keeps at least (1 - safety) u and the clip
         never acts.
         """

@@ -5,7 +5,7 @@ import pytest
 
 from ksfv import solver
 from ksfv.grid import Field, GridSpec, constant_field, integrate, lp_norm
-from ksfv.model import InitialData, ModelParams, make_initial_data
+from ksfv.model import CRITICAL_MASS_2D, InitialData, ModelParams, make_initial_data
 from ksfv.solver import (DT_COLLAPSED, MAX_STEPS, NONFINITE, REACHED_T,
                          SUP_THRESHOLD, SimState, StepControl, _cg, _Laplacian,
                          _Potential, _ShiftedLaplaceInverse, _StepWork,
@@ -35,7 +35,7 @@ def diffusive_flux(u, params, axis):
 def chemotactic_flux(u, v, params, axis):
     """The step's donor-cell face flux along `axis`, interior faces only."""
     uq = _power(u.values, params.q)
-    flux, _, _ = _chemotactic_flux(uq, v.values, axis, u.grid.spacing[axis])
+    flux, _ = _chemotactic_flux(uq, v.values, axis, u.grid.spacing[axis])
     return flux
 
 
@@ -151,8 +151,8 @@ class TestComputeDt:
             prev = dt
 
     def test_outflow_budget_protects_content(self):
-        # one nearly-empty cell next to a steep v gradient: the speed bound
-        # keeps outgoing flux * dt below the donor content
+        # one nearly-empty cell next to a steep v gradient: the outflow bound
+        # keeps its outgoing flux * dt below its content
         g = grid1d(4, 4.0)
         u_vals = np.array([1e-6, 1.0, 1.0, 1.0])
         v_vals = np.array([10.0, 0.0, 0.0, 0.0])
@@ -165,8 +165,8 @@ class TestComputeDt:
         assert outcome.state.u.min() >= 0.0
 
     def test_half_step_at_full_safety_stays_nonnegative(self):
-        # v has a V-shaped minimum at cell 3, so cell 3 emits on both faces at
-        # the largest speed and dt * out_rate equals its content up to
+        # v has a V-shaped minimum at cell 3, so cell 3 emits on both faces,
+        # sets the outflow bound, and dt * out_rate equals its content up to
         # rounding at safety = 1; without the clip the half-step rounds to
         # -1.4e-17, and with sigma = 0 the potential of a negative cell is nan
         g = grid1d(5, 0.5895310498242319)
@@ -178,6 +178,9 @@ class TestComputeDt:
         ctrl = StepControl(safety=1.0)
         st = state_from(u_vals, v_vals, g)
         work = _StepWork(st.u, st.v, params)
+        # |grad v| = 50 on every face, so out_rate_3 = 2 * 50 u_3 / h
+        assert work.out_rate[3] == pytest.approx(100.0 * u_vals[3] / g.spacing[0], rel=1e-14)
+        assert work.dt(ctrl) == ctrl.safety * u_vals[3] / work.out_rate[3]
         assert work.chemotaxis_update(work.dt(ctrl)).min() >= 0.0
         out = step(st, params, ctrl)
         assert np.isfinite(out.state.u.values).all()
@@ -185,11 +188,12 @@ class TestComputeDt:
         assert out.stop is None
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_speed_bound_caps_outflow(self, dim):
+    def test_outflow_bound_caps_outflow(self, dim):
         # random states on non-square cells, half of them with v V-shaped
-        # around a cell, where the bound is attained: at the step's dt each
-        # cell emits at most safety times its content, and the half-step is
-        # nonnegative
+        # around a cell: at the step's dt each cell emits at most safety
+        # times its content, the half-step is nonnegative, the bound is
+        # attained by some cell when it binds, and it is never below the
+        # face-speed bound h_min / (2 dim max u_donor^(q-1) |dv|)
         eps = np.finfo(float).eps
         rng = np.random.default_rng(31 + dim)
         for k in range(1500):
@@ -212,6 +216,20 @@ class TestComputeDt:
             dt = work.dt(StepControl(safety=safety, dt_max=1e3))
             assert (dt * work.out_rate <= safety * u * (1.0 + 4.0 * eps)).all()
             assert work.chemotaxis_update(dt).min() >= 0.0
+            dt_chem = work.dt_advection()
+            if dt_chem <= min(work.dt_accuracy(), 1e3):
+                assert (dt * work.out_rate >= safety * u * (1.0 - 4.0 * eps)).any()
+            speed = 0.0
+            for a in range(dim):
+                n = cells[a]
+                dv = np.diff(v, axis=a) / g.spacing[a]
+                donor = np.where(dv > 0.0, u.take(range(n - 1), axis=a),
+                                 u.take(range(1, n), axis=a))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    sp = np.where(donor > 0.0, donor ** (params.q - 1.0) * np.abs(dv), 0.0)
+                speed = max(speed, float(sp.max()))
+            if speed > 0.0:
+                assert dt_chem >= min(g.spacing) / (2 * dim * speed) * (1.0 - 4.0 * eps)
 
 
 class TestFluxUpdate:
@@ -597,6 +615,22 @@ class TestRun:
         res = run(init, params, StepControl(dt_min=1e-280, dt_max=1.0),
                   horizon=1.0, samples=2)
         assert res.termination == NONFINITE
+
+    def test_blowup_time_insensitive_to_safety(self):
+        # the (1,1) bump of criterion 5 (mass 1.5 x 8pi, width 0.08,
+        # sigma = 1e-3) at 48^2, run to 3x its initial sup: the time to get
+        # there at the default safety is within 5% of the same run at
+        # safety 0.1, so the dt rule does not buy its step size with accuracy
+        init = make_initial_data(grid2d(48), "gaussian-bump",
+                                 mass=1.5 * CRITICAL_MASS_2D, width=0.08)
+        params = ModelParams(m=1.0, q=1.0, sigma=1e-3)
+        t_end = []
+        for safety in (StepControl().safety, 0.1):
+            res = run(init, params, StepControl(safety=safety), horizon=1.0,
+                      samples=2, sup_threshold_multiple=3.0)
+            assert res.termination == SUP_THRESHOLD
+            t_end.append(res.final_state.t)
+        assert t_end[0] == pytest.approx(t_end[1], rel=0.05)
 
     def test_solver_work_totals(self, monkeypatch):
         # run() reports the sums of its steps' CG iterations, both solves
