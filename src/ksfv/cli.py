@@ -64,7 +64,8 @@ def _cmd_run(args) -> int:
                             result.running_max_sup_u)
     emit_run_outputs(cfg, result, tracker, ladder, out_dir)
     print(f"termination: {result.termination} at t={result.final_state.t:.6g} "
-          f"({result.steps} steps; CG iterations: {result.u_solve_iters} diffusion, "
+          f"({result.steps} steps; {result.newton_corrections} Newton corrections; "
+          f"CG iterations: {result.u_solve_iters} diffusion, "
           f"{result.v_solve_iters} v-solve); artifacts in {out_dir}")
     return 0
 

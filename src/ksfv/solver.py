@@ -22,10 +22,27 @@ One step advances (u, v) by operator splitting:
 Both implicit systems are symmetric positive definite.  The exact inverse
 of a constant-coefficient operator a - dt lap_h in the cosine basis of the
 Neumann Laplacian solves the m = 1 Newton corrections outright, where the
-diffusion operator I - dt lap_h has constant coefficients.  One
-conjugate-gradient routine, preconditioned by that inverse, serves the
-variable-coefficient Newton corrections (m != 1) and the v-solve.  The
-v-solve and the Newton iteration stop at the residual 2-norm
+diffusion operator I - dt lap_h has constant coefficients, and
+preconditions the v-solve, whose operator (1 + dt) - dt lap_h is constant
+too.  One conjugate-gradient routine serves the v-solve and the
+variable-coefficient Newton corrections (m != 1), whose Jacobian
+diag(du/dw) - dt lap_h varies only in its diagonal.  Those are
+preconditioned by a symmetric multigrid V-cycle (_NewtonPreconditioner):
+two damped-Jacobi sweeps before and after each coarse correction, grids
+halved while every axis is even, and the cosine-basis inverse scaled by the
+diagonal on the coarsest level.  Its depth is one constant, _MG_MIN_CELLS:
+a 2-D grid of more than 64^2 cells is halved down to the first level of at
+most 16^2 cells, and any other grid keeps one level, on which the V-cycle
+is that scaled cosine inverse.  Measured with one BLAS thread: at 128^2
+(the bounded-side legs of the benchmark, m = 2 and 1.5) the V-cycle takes
+1.8 and 2.1 CG iterations per correction, against 11.4 and 6.6 for the
+scaled cosine inverse alone, and the two runs take 3.8 s instead of 8.1 s
+on a 2-core machine; a two-grid cycle (coarsest 64^2) takes 3.3 and 2.9.
+At 64^2 a V-cycle application costs about four cosine-inverse iterations,
+so the 64^2 sweep points gain nothing and (0.75, 0.5) ran slower (0.71 s
+against 0.38-0.47 s), which is why such grids keep one level.
+
+The v-solve and the Newton iteration stop at the residual 2-norm
 v_solve_tol * (1 + |rhs|); the CG solve of each m != 1 Newton correction
 stops earlier, at an Eisenstat-Walker forcing term times the current Newton
 residual (inexact Newton, see _StepWork.diffusion_update).
@@ -46,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, face_gradient_sup
+from .grid import Field, GridSpec, face_gradient_sup
 from .model import InitialData, ModelParams
 
 
@@ -95,7 +112,9 @@ class StepOutcome:
     state: SimState
     dt_used: float
     v_solve_iters: int
-    # inner CG iterations of the Newton diffusion solve, over every attempt
+    # Newton corrections of the diffusion solve and their inner CG
+    # iterations, over every attempt
+    newton_corrections: int = 0
     u_solve_iters: int = 0
     # DT_COLLAPSED or NONFINITE when the run must stop here, else None
     stop: str | None = None
@@ -167,6 +186,14 @@ class _Laplacian:
                 if axis:
                     out += term
         return out
+
+
+@lru_cache(maxsize=None)
+def _laplacian(grid: GridSpec) -> _Laplacian:
+    """The grid's Laplacian, built once.  Its scratch arrays are shared by
+    every caller in the process, so calls must not nest or run in parallel
+    threads (sweeps run their points in separate processes)."""
+    return _Laplacian(grid)
 
 
 def _cg(apply_A, rhs: np.ndarray, x: np.ndarray | None, tol: float, max_iters: int,
@@ -258,6 +285,121 @@ class _ShiftedLaplaceInverse:
         return C0 @ (((C0.T @ r @ C1) * self.inv_denom) @ C1.T)
 
 
+def _scaled_inverse(grid: GridSpec, d: np.ndarray, dt: float, active=None):
+    """S (alpha - dt beta lap_h)^(-1) S for diag(d) - dt lap_h, with
+    S = diag(J)^(-1/2), J = d + dt lap_h.diag, and alpha, beta the mean
+    entries of S diag(d) S and S^2 over the active cells: exact when d is
+    uniform, Jacobi-like where it varies.  Cells outside the `active` mask
+    (None: every cell) map to zero."""
+    inv_diag = 1.0 / (d + dt * _laplacian(grid).diag)
+    n_active = grid.num_cells
+    if active is not None:
+        inv_diag *= active
+        n_active = max(int(active.sum()), 1)
+    shifted = _ShiftedLaplaceInverse(grid, float((d * inv_diag).sum()) / n_active,
+                                     dt * float(inv_diag.sum()) / n_active)
+    scale = np.sqrt(inv_diag)
+    return lambda x: scale * shifted(scale * x)
+
+
+# The V-cycle's depth: a grid of more than _MG_MIN_CELLS cells is halved
+# while every axis is even, down to the first level of at most
+# _MG_MIN_CELLS / 16 cells (128^2 -> 16^2); other grids keep one level.
+# Chosen from measurements at 128^2 and 64^2 (see the module docstring).
+_MG_MIN_CELLS = 64 * 64
+_MG_OMEGA = 0.8     # damped-Jacobi weight
+_MG_SWEEPS = 2      # Jacobi sweeps before and after each coarse correction
+
+
+def _restrict(x: np.ndarray) -> np.ndarray:
+    """Mean of each coarse cell's 2x2 children, summed in pairs along the
+    last axis and then the first, so mirror images round alike."""
+    n0, n1 = x.shape
+    x4 = x.reshape(n0 // 2, 2, n1 // 2, 2)
+    pairs = x4[:, :, :, 0] + x4[:, :, :, 1]
+    out = pairs[:, 0] + pairs[:, 1]
+    out *= 0.25
+    return out
+
+
+@lru_cache(maxsize=None)
+def _levels(grid: GridSpec) -> tuple:
+    """The V-cycle's levels, finest first: each level's grid (all with the
+    same extent), its Laplacian and two scratch arrays."""
+    grids = [grid]
+    if grid.dim == 2 and grid.num_cells > _MG_MIN_CELLS:
+        # a GridSpec needs at least 3 cells per axis
+        while (grids[-1].num_cells > _MG_MIN_CELLS // 16
+               and all(n % 2 == 0 and n >= 6 for n in grids[-1].cells)):
+            grids.append(GridSpec(dim=2, cells=tuple(n // 2 for n in grids[-1].cells),
+                                  extent=grid.extent))
+    return tuple((g, _laplacian(g), np.empty(g.cells), np.empty(g.cells)) for g in grids)
+
+
+class _NewtonPreconditioner:
+    """Symmetric multigrid V-cycle for J = diag(d) - dt lap_h, the Jacobian
+    of an m != 1 Newton correction; cells outside the `active` mask (None:
+    every cell) map to zero, as _cg requires of pinned cells.
+
+    Each level halves every axis of the one above (_levels); its d is the
+    mean of the children's, its operator the rediscretised Laplacian.  A
+    level smooths with _MG_SWEEPS damped-Jacobi sweeps (weight _MG_OMEGA,
+    diagonal d + dt lap_h.diag) before and after the correction from the
+    level below; residuals are restricted by the mean of the children and
+    corrections prolonged by copying into them.  The coarsest level applies
+    _scaled_inverse with no smoothing, so a grid that does not coarsen gets
+    exactly that.  Restriction is a multiple of the transposed
+    prolongation and the sweeps match on both sides, so the cycle is a
+    symmetric positive definite operator.  Only the d-dependent pieces are
+    built here; the levels are cached per grid, so two instances on one
+    grid must not be applied at once.
+    """
+
+    def __init__(self, grid: GridSpec, d: np.ndarray, dt: float, active=None):
+        levels = _levels(grid)
+        ds = [d]
+        for _ in levels[1:]:
+            ds.append(_restrict(ds[-1]))
+        self.dt, self.active = dt, active
+        self.smooth = [(lap, dk, _MG_OMEGA / (dk + dt * lap.diag), res, tmp)
+                       for (_, lap, res, tmp), dk in zip(levels[:-1], ds)]
+        self.coarse = _scaled_inverse(levels[-1][0], ds[-1], dt,
+                                      active if len(levels) == 1 else None)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        if self.active is None:
+            return self._cycle(0, r)
+        x = self._cycle(0, r * self.active)
+        x *= self.active
+        return x
+
+    def _residual(self, level: int, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """r - J x on the level, in its scratch array."""
+        lap, d, _, res, tmp = self.smooth[level]
+        lap(x, res)
+        res *= self.dt
+        res += r
+        res -= np.multiply(d, x, out=tmp)
+        return res
+
+    def _sweep(self, level: int, x: np.ndarray, r: np.ndarray) -> None:
+        res = self._residual(level, x, r)
+        res *= self.smooth[level][2]
+        x += res
+
+    def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
+        if level == len(self.smooth):
+            return self.coarse(r)
+        x = self.smooth[level][2] * r  # the first sweep, from zero
+        for _ in range(_MG_SWEEPS - 1):
+            self._sweep(level, x, r)
+        e = self._cycle(level + 1, _restrict(self._residual(level, x, r)))
+        x.reshape(e.shape[0], 2, e.shape[1], 2)[...] += e[:, None, :, None]
+        for _ in range(_MG_SWEEPS):
+            self._sweep(level, x, r)
+        return x
+
+
 _NEWTON_MAX_ITERS = 30
 
 
@@ -301,7 +443,7 @@ class _StepWork:
         dim = grid.dim
         uv = u.values
 
-        self.lap = _Laplacian(grid)
+        self.lap = _laplacian(grid)
         self.potential = _Potential(params)
         pot = self.potential.w(uv)
         self.finite = math.isfinite(float(pot.sum()))
@@ -448,7 +590,8 @@ class _StepWork:
         constant coefficients, so each correction is one application of its
         exact inverse in the cosine basis, with no CG.  Otherwise correction
         k solves (diag(du/dw) - dt lap_h) dw = -res, which is symmetric
-        positive definite, by preconditioned CG (inexact Newton).  Vacuum
+        positive definite, by CG preconditioned with the multigrid V-cycle
+        _NewtonPreconditioner (inexact Newton).  Vacuum
         cells of a degenerate potential (sigma = 0, m > 1, where du/dw is
         infinite) are pinned at w = 0: they can receive mass in this step
         but emit none.  Correction k's CG stops at max(tol, eta_k |res_k|),
@@ -498,17 +641,9 @@ class _StepWork:
                     out *= active
                 return out
 
-            # S (alpha - dt beta lap_h)^(-1) S with S = diag(J)^(-1/2) and
-            # alpha, beta the mean entries of S diag(d) S and S^2: exact when
-            # d is uniform, Jacobi-like where the mobility varies
-            inv_diag = active / (d + dt * lap.diag)
-            n_active = max(int(active.sum()), 1)
-            shifted = _ShiftedLaplaceInverse(
-                self.grid, float((d * inv_diag).sum()) / n_active,
-                dt * float(inv_diag.sum()) / n_active)
-            scale = np.sqrt(inv_diag)
             dw, iters = _cg(apply_J, -res, None, max(tol, eta * res_norm),
-                            ctrl.v_solve_max_iters, lambda x: scale * shifted(scale * x))
+                            ctrl.v_solve_max_iters,
+                            _NewtonPreconditioner(self.grid, d, dt, active if pinned else None))
             cg_iters += iters
             w += dw
             np.maximum(w, pot.floor, out=w)
@@ -536,7 +671,7 @@ def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl,
     grid = v.grid
     rhs = v.values + dt * u.values
     x = np.array(v.values if x0 is None else x0, dtype=np.float64)
-    lap = _Laplacian(grid)
+    lap = _laplacian(grid)
 
     def apply_A(p: np.ndarray, out: np.ndarray) -> np.ndarray:
         lap(p, out)
@@ -565,16 +700,18 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
     if not work.finite:
         return StepOutcome(state=state, dt_used=0.0, v_solve_iters=0, stop=NONFINITE)
     dt = work.dt(ctrl)
-    u_iters = 0
+    corrections = u_iters = 0
     while True:
         if dt < ctrl.dt_min:
             return StepOutcome(state=state, dt_used=0.0, v_solve_iters=0,
-                               u_solve_iters=u_iters, stop=DT_COLLAPSED)
+                               newton_corrections=corrections, u_solve_iters=u_iters,
+                               stop=DT_COLLAPSED)
         t_new = state.t + dt
         if t_new >= t_stop:
             dt, t_new = t_stop - state.t, t_stop
         r = work.chemotaxis_update(dt)
-        w, lw, _, cg_iters = work.diffusion_update(r, dt, ctrl)
+        w, lw, k, cg_iters = work.diffusion_update(r, dt, ctrl)
+        corrections += k
         u_iters += cg_iters
         if w is not None:
             u_vals = work.flux_update(r, w, lw, dt)
@@ -588,7 +725,8 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
     # one-reduction finiteness probe: any nan/inf poisons the sum
     finite = math.isfinite(float(u_new.values.sum()) + float(v_new.values.sum()))
     return StepOutcome(state=new_state, dt_used=dt, v_solve_iters=iters,
-                       u_solve_iters=u_iters, stop=None if finite else NONFINITE,
+                       newton_corrections=corrections, u_solve_iters=u_iters,
+                       stop=None if finite else NONFINITE,
                        sup_grad_v=work.sup_grad_v)
 
 
@@ -603,7 +741,9 @@ class RunResult:
     running_max_sup_grad_v: float
     comparison_violation: float
     steps: int
-    # CG iterations of the Newton diffusion solves and of the v-solves
+    # Newton corrections of the diffusion solves, their CG iterations, and
+    # the CG iterations of the v-solves
+    newton_corrections: int
     u_solve_iters: int
     v_solve_iters: int
 
@@ -645,7 +785,7 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
     running_sup_gv = face_gradient_sup(state.v)
     sup_v0 = state.v.max()
     violation = 0.0
-    u_iters = v_iters = 0
+    corrections = u_iters = v_iters = 0
     start = _time.monotonic() if wall_clock_budget is not None else 0.0
 
     termination = None
@@ -662,6 +802,7 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
             break
 
         outcome = step(state, params, ctrl, t_stop=targets[next_target])
+        corrections += outcome.newton_corrections
         u_iters += outcome.u_solve_iters
         v_iters += outcome.v_solve_iters
         if outcome.stop is not None:
@@ -701,5 +842,6 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
                      running_max_sup_u=running_sup_u,
                      running_max_sup_grad_v=running_sup_gv,
                      comparison_violation=violation, steps=state.step,
-                     u_solve_iters=u_iters, v_solve_iters=v_iters)
+                     newton_corrections=corrections, u_solve_iters=u_iters,
+                     v_solve_iters=v_iters)
 

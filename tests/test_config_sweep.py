@@ -452,8 +452,11 @@ class TestCli:
         assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 0
         result, _ = execute_run(parse_config(json.dumps(doc)))
         assert result.u_solve_iters > 0 and result.v_solve_iters > 0
-        assert (f"CG iterations: {result.u_solve_iters} diffusion, "
-                f"{result.v_solve_iters} v-solve") in capsys.readouterr().out
+        # m = 2: every step takes at least one Newton correction
+        assert result.newton_corrections >= result.steps > 0
+        assert (f"({result.steps} steps; {result.newton_corrections} Newton corrections; "
+                f"CG iterations: {result.u_solve_iters} diffusion, "
+                f"{result.v_solve_iters} v-solve)") in capsys.readouterr().out
 
     def test_sweep_command_and_failure_exit(self, tmp_path):
         doc = small_sweep_doc()

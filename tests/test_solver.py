@@ -362,6 +362,104 @@ class TestConjugateGradients:
         assert x1.tobytes() == x0.tobytes()
 
 
+def newton_systems(monkeypatch, u_vals, grid, m=2.0, sigma=1e-3, dt=0.01):
+    """The (preconditioner, rhs) of every CG solve that one diffusion_update
+    at r = u hands to _cg; each preconditioner keeps its d as `d`."""
+    systems = []
+
+    class Recording(solver._NewtonPreconditioner):
+        def __init__(self, grid, d, dt, active=None):
+            super().__init__(grid, d, dt, active)
+            self.d = d.copy()
+
+    def recording_cg(apply_A, rhs, x, tol, max_iters, precond=None):
+        systems.append((precond, rhs.copy()))
+        return _cg(apply_A, rhs, x, tol, max_iters, precond)
+
+    monkeypatch.setattr(solver, "_NewtonPreconditioner", Recording)
+    monkeypatch.setattr(solver, "_cg", recording_cg)
+    u = Field(grid, u_vals)
+    work = _StepWork(u, constant_field(grid, 0.0), ModelParams(m=m, q=1.0, sigma=sigma))
+    w, *_ = work.diffusion_update(u.values.copy(), dt, StepControl())
+    assert w is not None and systems
+    return systems
+
+
+def bump(grid, width=0.08, centre=(0.5, 0.5)):
+    xs, ys = grid.cell_centers(0), grid.cell_centers(1)
+    return 100.0 * np.exp(-((xs[:, None] - centre[0]) ** 2
+                            + (ys[None, :] - centre[1]) ** 2) / (2 * width ** 2))
+
+
+class TestNewtonPreconditioner:
+    """The V-cycle that preconditions the m != 1 Newton corrections, as
+    diffusion_update builds it."""
+
+    @pytest.mark.parametrize("cells", [(128, 128), (128, 64)])
+    def test_symmetric_positive_definite(self, monkeypatch, cells):
+        g = GridSpec(dim=2, cells=cells, extent=(1.0, 1.0))
+        assert len(solver._levels(g)) == 4  # down to 16^2 and 16x8
+        rng = np.random.default_rng(1)
+        for P, _ in newton_systems(monkeypatch, bump(g, centre=(0.4, 0.55)), g):
+            for _ in range(3):
+                x, y = rng.normal(size=cells), rng.normal(size=cells)
+                xPy, yPx = float(np.vdot(x, P(y))), float(np.vdot(y, P(x)))
+                assert abs(xPy - yPx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(P(y))
+                assert float(np.vdot(x, P(x))) > 0.0
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_pinned_cells_map_to_zero(self, monkeypatch, n):
+        # sigma = 0 at m = 2: du/dw is infinite where u = 0, so those
+        # cells are pinned and the preconditioner must leave them at zero
+        g = grid2d(n)
+        u = bump(g)
+        u[u < 1.0] = 0.0
+        rng = np.random.default_rng(2)
+        systems = newton_systems(monkeypatch, u, g, sigma=0.0)
+        for P, _ in systems:
+            z = P(rng.normal(size=g.cells))
+            assert np.isfinite(z).all()
+            assert not z[u == 0.0].any()
+            assert z[u > 0.0].any()
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(dim=2, cells=(129, 129), extent=(1.0, 1.0)),   # odd
+        GridSpec(dim=2, cells=(64, 64), extent=(1.0, 1.0)),     # at most 64^2
+        GridSpec(dim=1, cells=(200,), extent=(1.0,)),
+    ], ids=["odd", "64", "1d"])
+    def test_one_level_is_the_scaled_cosine_inverse(self, monkeypatch, grid):
+        # a grid that does not coarsen gets exactly the cosine-basis
+        # preconditioner S (alpha - dt beta lap_h)^(-1) S
+        assert len(solver._levels(grid)) == 1
+        if grid.dim == 1:
+            x = grid.cell_centers(0)
+            u = 100.0 * np.exp(-((x - 0.5) ** 2) / (2 * 0.08 ** 2))
+        else:
+            u = bump(grid)
+        dt, m, sigma = 0.01, 2.0, 1e-3
+        rng = np.random.default_rng(3)
+        for P, rhs in newton_systems(monkeypatch, u, grid, m, sigma, dt):
+            d, n = P.d, grid.num_cells
+            inv_diag = 1.0 / (d + dt * _Laplacian(grid).diag)
+            shifted = _ShiftedLaplaceInverse(grid, float((d * inv_diag).sum()) / n,
+                                             dt * float(inv_diag.sum()) / n)
+            scale = np.sqrt(inv_diag)
+            for r in (rhs, rng.normal(size=grid.cells)):
+                assert P(r).tobytes() == (scale * shifted(scale * r)).tobytes()
+
+    def test_iterations_per_correction(self):
+        # the bounded-side bump at 128^2, m = 2: the V-cycle keeps each
+        # correction to a few CG iterations (about 11 with the cosine
+        # preconditioner alone)
+        g = grid2d(128)
+        init = make_initial_data(g, "gaussian-bump", mass=1.5 * CRITICAL_MASS_2D, width=0.08)
+        res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
+                  horizon=0.05, samples=2)
+        assert res.termination == REACHED_T
+        assert res.newton_corrections >= res.steps > 5
+        assert res.u_solve_iters <= 4 * res.newton_corrections
+
+
 class TestAdvanceV:
     def test_constant_fixed_point(self):
         g = grid2d(8)
@@ -495,6 +593,24 @@ class TestStep:
         ctrl = StepControl()
         for _ in range(50):
             st = step(st, params, ctrl).state
+        assert np.abs(st.u.values - st.u.values[::-1, :]).max() <= 1e-11
+        assert np.abs(st.u.values - st.u.values[:, ::-1]).max() <= 1e-11
+
+    def test_mirror_symmetry_2d_multigrid(self):
+        # as above on 128^2, where the m = 2 Newton corrections run the
+        # multigrid V-cycle
+        g = grid2d(128)
+        assert len(solver._levels(g)) >= 2
+        xs = g.cell_centers(0)
+        u_vals = 10.0 * np.exp(-((xs[:, None] - 0.5) ** 2 + (xs[None, :] - 0.5) ** 2) / 0.02)
+        st = state_from(u_vals, np.zeros(g.cells), g)
+        params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
+        ctrl = StepControl()
+        corrections = 0
+        for _ in range(20):
+            outcome = step(st, params, ctrl)
+            st, corrections = outcome.state, corrections + outcome.newton_corrections
+        assert corrections > 20
         assert np.abs(st.u.values - st.u.values[::-1, :]).max() <= 1e-11
         assert np.abs(st.u.values - st.u.values[:, ::-1]).max() <= 1e-11
 
@@ -646,9 +762,11 @@ class TestRun:
         res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
                   horizon=2e-3, samples=3)
         assert len(outcomes) == res.steps > 0
+        assert res.newton_corrections == sum(o.newton_corrections for o in outcomes)
         assert res.u_solve_iters == sum(o.u_solve_iters for o in outcomes)
         assert res.v_solve_iters == sum(o.v_solve_iters for o in outcomes)
-        assert res.u_solve_iters > res.steps  # m = 2 needs several corrections
+        assert res.newton_corrections > res.steps  # m = 2 needs several corrections
+        assert res.u_solve_iters >= res.newton_corrections
 
     def test_final_state_always_sampled(self):
         init = self.steady_initial()
