@@ -6,14 +6,17 @@ Subcommands:
   kernels          self-verify the analytic kernels, emit a JSON report
   ladder <run-dir> rebuild a truncation ladder from a stored run series
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when a completed
-sweep contains failed jobs (or the kernel self-check fails).
+Exit codes: 0 on success; 1 on configuration errors and invalid option
+values; 2 when a run's solver fails (a solve that does not converge within
+its cap), when a completed sweep contains failed jobs, or when the kernel
+self-check fails.  Each error is reported as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,19 +57,28 @@ def _read_text(path: str) -> str:
         raise SystemExit(1)
 
 
+def _invalid_option(message: str) -> int:
+    print(f"invalid option: {message}", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args) -> int:
     cfg: RunConfig = _load_config(_read_text(args.config), RunConfig, seed=args.seed)
     out_dir = Path(args.out)
 
-    result, tracker = execute_run(cfg)
+    try:
+        result, tracker = execute_run(cfg)
+    except RuntimeError as e:
+        print(f"solver failed: {e}", file=sys.stderr)
+        return 2
     ladder = ladder_for_run(result.sample_times, result.u_samples,
                             cfg.grid.cell_volume, cfg.model, cfg.diagnostics,
                             result.running_max_sup_u)
     emit_run_outputs(cfg, result, tracker, ladder, out_dir)
     print(f"termination: {result.termination} at t={result.final_state.t:.6g} "
-          f"({result.steps} steps; {result.newton_corrections} Newton corrections; "
-          f"CG iterations: {result.u_solve_iters} diffusion, "
-          f"{result.v_solve_iters} v-solve); artifacts in {out_dir}")
+          f"({result.steps} steps; diffusion: {result.newton_corrections} corrections, "
+          f"{result.u_solve_iters} CG iterations; "
+          f"v-solve: {result.v_solve_iters} corrections); artifacts in {out_dir}")
     return 0
 
 
@@ -85,6 +97,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    if args.tuples < 1:
+        return _invalid_option(f"--tuples must be >= 1, got {args.tuples}")
     report = self_check(tuples=args.tuples, seed=args.seed or 0)
     text = json.dumps(report, indent=2)
     if args.out:
@@ -95,6 +109,10 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
+    if not (math.isfinite(args.K) and args.K > 0.0):
+        return _invalid_option(f"--K must be finite and > 0, got {args.K}")
+    if args.n_max < 0:
+        return _invalid_option(f"--n-max must be >= 0, got {args.n_max}")
     run_dir = Path(args.run_dir)
     meta_path = run_dir / "metadata.json"
     if not meta_path.exists():

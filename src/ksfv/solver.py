@@ -19,12 +19,12 @@ One step advances (u, v) by operator splitting:
      positive definite and an M-matrix, so the exact update preserves
      nonnegativity and the discrete maximum principle).
 
-Both implicit systems are symmetric positive definite.  The exact inverse
-of a constant-coefficient operator a - dt lap_h in the cosine basis of the
-Neumann Laplacian solves the m = 1 Newton corrections outright, where the
-diffusion operator I - dt lap_h has constant coefficients, and
-preconditions the v-solve, whose operator (1 + dt) - dt lap_h is constant
-too.  One conjugate-gradient routine serves the v-solve and the
+Every implicit system here is symmetric positive definite.  Two have
+constant coefficients: the v-solve, whose operator is (1 + dt) - dt lap_h,
+and the m = 1 diffusion step, whose operator is I - dt lap_h.  One routine,
+_solve_shifted, solves both by corrections with the exact inverse of
+a - dt lap_h in the cosine basis of the Neumann Laplacian, testing the
+residual before each.  Conjugate gradients serve only the
 variable-coefficient Newton corrections (m != 1), whose Jacobian
 diag(du/dw) - dt lap_h varies only in its diagonal.  Those are
 preconditioned by a symmetric multigrid V-cycle (_NewtonPreconditioner):
@@ -42,7 +42,7 @@ At 64^2 a V-cycle application costs about four cosine-inverse iterations,
 so the 64^2 sweep points gain nothing and (0.75, 0.5) ran slower (0.71 s
 against 0.38-0.47 s), which is why such grids keep one level.
 
-The v-solve and the Newton iteration stop at the residual 2-norm
+The v-solve and the diffusion solve stop at the residual 2-norm
 v_solve_tol * (1 + |rhs|); the CG solve of each m != 1 Newton correction
 stops earlier, at an Eisenstat-Walker forcing term times the current Newton
 residual (inexact Newton, see _StepWork.diffusion_update).
@@ -196,28 +196,23 @@ def _laplacian(grid: GridSpec) -> _Laplacian:
     return _Laplacian(grid)
 
 
-def _cg(apply_A, rhs: np.ndarray, x: np.ndarray | None, tol: float, max_iters: int,
-        precond=None) -> tuple[np.ndarray, int]:
-    """Preconditioned conjugate gradients for an SPD operator, in place on x.
+def _cg(apply_A, rhs: np.ndarray, tol: float, max_iters: int,
+        precond) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients for an SPD operator, from zero.
 
-    x = None starts from zero without applying A to it.  Stops once the
-    residual 2-norm is at most tol.  precond(r), when given, applies a
+    Stops once the residual 2-norm is at most tol.  precond(r) applies a
     symmetric positive semidefinite approximate inverse; unknowns it maps
-    to zero keep their starting value (apply_A must then return zero in
-    those rows).  A non-finite residual ends the iteration at once: the
-    caller's finiteness probe reports it.  Returns the solution and the
-    iteration count.
+    to zero stay zero (apply_A must then return zero in those rows).  A
+    non-finite residual ends the iteration at once: the caller's finiteness
+    probe reports it.  Returns the solution and the iteration count.
     """
-    if x is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-    else:
-        r = rhs - apply_A(x, np.empty_like(x))
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     rr = float(np.vdot(r, r))
     iters = 0
     if not math.sqrt(rr) > tol:  # converged, or nan
         return x, iters
-    z = r if precond is None else precond(r)
+    z = precond(r)
     rz = float(np.vdot(r, z))
     p = z.copy()
     Ap = np.empty_like(x)
@@ -234,11 +229,8 @@ def _cg(apply_A, rhs: np.ndarray, x: np.ndarray | None, tol: float, max_iters: i
             raise RuntimeError(
                 f"conjugate gradients failed to converge in {iters} iterations; "
                 f"residual {math.sqrt(rr):.3e}, tolerance {tol:.3e}")
-        if precond is None:
-            z, rz_new = r, rr
-        else:
-            z = precond(r)
-            rz_new = float(np.vdot(r, z))
+        z = precond(r)
+        rz_new = float(np.vdot(r, z))
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -283,6 +275,39 @@ class _ShiftedLaplaceInverse:
             return C @ ((C.T @ r) * self.inv_denom)
         C0, C1 = self.C
         return C0 @ (((C0.T @ r @ C1) * self.inv_denom) @ C1.T)
+
+
+# The cap on the Newton corrections of the diffusion solve and on the
+# corrections of _solve_shifted
+_MAX_CORRECTIONS = 30
+
+
+def _solve_shifted(grid: GridSpec, a: float, dt: float, rhs: np.ndarray, x: np.ndarray,
+                   tol: float, floor: float | None):
+    """Solve (a - dt lap_h) x = rhs for a constant a > 0, in place from x.
+
+    Until the residual a x - rhs - dt lap_h x has 2-norm at most tol (or a
+    non-finite one, for the caller's finiteness probe to report), correct x
+    by the exact inverse (_ShiftedLaplaceInverse) of the residual and raise
+    it to `floor`, if given.  One unchecked correction can leave the
+    residual several times tol at dt >= 1; a second meets it.  Returns x,
+    lap_h x as the accepting test computed it and the number of
+    corrections, or None, None, _MAX_CORRECTIONS.
+    """
+    lap = _laplacian(grid)
+    inverse = _ShiftedLaplaceInverse(grid, a, dt)
+    lx, res, dt_lx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    for k in range(_MAX_CORRECTIONS):
+        lap(x, lx)
+        np.multiply(x, a, out=res)  # res = a x - rhs - dt lx, without temporaries
+        res -= rhs
+        res -= np.multiply(lx, dt, out=dt_lx)
+        if not float(np.linalg.norm(res)) > tol:  # converged, or non-finite
+            return x, lx, k
+        x -= inverse(res)
+        if floor is not None:
+            np.maximum(x, floor, out=x)
+    return None, None, _MAX_CORRECTIONS
 
 
 def _scaled_inverse(grid: GridSpec, d: np.ndarray, dt: float, active=None):
@@ -400,9 +425,6 @@ class _NewtonPreconditioner:
         return x
 
 
-_NEWTON_MAX_ITERS = 30
-
-
 class _Potential:
     """The Kirchhoff potential w = (u+sigma)^m, its inverse and d u/d w.
 
@@ -423,7 +445,7 @@ class _Potential:
         return w if self.linear else _power(w, 1.0 / self.m) - self.sigma
 
     def du_dw(self, w: np.ndarray) -> np.ndarray:
-        """d u / d w for m != 1 (the m = 1 Newton solve does not need it)."""
+        """d u / d w for m != 1 (the m = 1 solve does not need it)."""
         with np.errstate(divide="ignore"):
             return _power(w, 1.0 / self.m - 1.0) * (1.0 / self.m)
 
@@ -578,20 +600,19 @@ class _StepWork:
 
     def diffusion_update(self, r: np.ndarray, dt: float, ctrl: StepControl
                          ) -> tuple[np.ndarray | None, np.ndarray | None, int, int]:
-        """Potential w of the backward-Euler diffusion u1 - dt lap_h w(u1) = r,
-        by Newton in w from w(r), with lap_h w as the last residual test
-        computed it, the number of corrections and of their inner CG
-        iterations; w and lap_h w are None if Newton has not converged after
-        _NEWTON_MAX_ITERS corrections.
+        """Potential w of the backward-Euler diffusion u1 - dt lap_h w(u1) = r
+        from w(r), with lap_h w as the last residual test computed it, the
+        number of corrections and of their inner CG iterations; w and lap_h w
+        are None if the solve has not converged after _MAX_CORRECTIONS
+        corrections.
 
-        Newton stops once the residual 2-norm over the unpinned cells is at
-        most tol = v_solve_tol * (1 + |r|), and w is kept at or above w(0)
-        after each correction.  At m = 1 the Jacobian I - dt lap_h has
-        constant coefficients, so each correction is one application of its
-        exact inverse in the cosine basis, with no CG.  Otherwise correction
-        k solves (diag(du/dw) - dt lap_h) dw = -res, which is symmetric
-        positive definite, by CG preconditioned with the multigrid V-cycle
-        _NewtonPreconditioner (inexact Newton).  Vacuum
+        The solve stops once the residual 2-norm over the unpinned cells is
+        at most tol = v_solve_tol * (1 + |r|), and w is kept at or above w(0)
+        after each correction.  At m = 1 the operator I - dt lap_h has
+        constant coefficients and _solve_shifted solves it, with no CG.
+        Otherwise Newton correction k solves (diag(du/dw) - dt lap_h) dw =
+        -res, which is symmetric positive definite, by CG preconditioned with
+        the multigrid V-cycle _NewtonPreconditioner (inexact Newton).  Vacuum
         cells of a degenerate potential (sigma = 0, m > 1, where du/dw is
         infinite) are pinned at w = 0: they can receive mass in this step
         but emit none.  Correction k's CG stops at max(tol, eta_k |res_k|),
@@ -602,20 +623,15 @@ class _StepWork:
         """
         pot, lap = self.potential, self.lap
         w = pot.w(r).copy()
-        lw = np.empty_like(w)
         tol = ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(r)))
-        exact = _ShiftedLaplaceInverse(self.grid, 1.0, dt) if pot.linear else None
+        if pot.linear:
+            return _solve_shifted(self.grid, 1.0, dt, r, w, tol, pot.floor) + (0,)
+        lw = np.empty_like(w)
         cg_iters = 0
         eta, prev_norm = 0.5, math.nan
-        for k in range(_NEWTON_MAX_ITERS):
+        for k in range(_MAX_CORRECTIONS):
             lap(w, lw)
             res = pot.u(w) - r - dt * lw
-            if exact is not None:
-                if not float(np.linalg.norm(res)) > tol:  # converged, or non-finite
-                    return w, lw, k, cg_iters
-                w -= exact(res)
-                np.maximum(w, pot.floor, out=w)
-                continue
             d = pot.du_dw(w)
             active = np.isfinite(d)
             pinned = not active.all()
@@ -641,49 +657,39 @@ class _StepWork:
                     out *= active
                 return out
 
-            dw, iters = _cg(apply_J, -res, None, max(tol, eta * res_norm),
-                            ctrl.v_solve_max_iters,
+            dw, iters = _cg(apply_J, -res, max(tol, eta * res_norm), ctrl.v_solve_max_iters,
                             _NewtonPreconditioner(self.grid, d, dt, active if pinned else None))
             cg_iters += iters
             w += dw
             np.maximum(w, pot.floor, out=w)
-        return None, None, _NEWTON_MAX_ITERS, cg_iters
+        return None, None, _MAX_CORRECTIONS, cg_iters
 
 
-def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl,
-              x0: np.ndarray | None = None) -> tuple[Field, int]:
+def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl) -> tuple[Field, int]:
     """Backward-Euler solve of (1 + dt) v_new - dt laplace v_new = v + dt u.
 
-    Conjugate gradients on the matrix-free SPD operator, warm-started from
-    the previous v, to residual 2-norm <= v_solve_tol * (1 + |rhs|).  The
-    preconditioner is the operator's own inverse in the cosine basis, so
-    one iteration normally suffices at any dt.  The warm start matters at
-    a steady state: there the previous v is the exact solution and CG does
-    not move it, where one preconditioned step from zero would leave
-    rounding of about 1e-11 in a constant state.  The
-    exact solution of this M-matrix system is nonnegative for nonnegative
-    inputs; in that case (and only then) the iterate is projected onto
-    [0, inf) to remove solver-tolerance undershoot.  Signed inputs are
-    solved as-is.
+    _solve_shifted from the previous v, to residual 2-norm <= v_solve_tol *
+    (1 + |rhs|).  At a steady state the previous v already solves the
+    system and is returned as is (a correction would leave rounding of
+    about 1e-11 in a constant state).  The exact solution of this M-matrix
+    system is nonnegative for nonnegative inputs; in that case (and only
+    then) each correction is projected onto [0, inf) to remove rounding
+    undershoot.  Returns the new v and the number of corrections; raises
+    RuntimeError if _MAX_CORRECTIONS do not converge.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = v.grid
     rhs = v.values + dt * u.values
-    x = np.array(v.values if x0 is None else x0, dtype=np.float64)
-    lap = _laplacian(grid)
-
-    def apply_A(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        lap(p, out)
-        out *= -dt
-        out += (1.0 + dt) * p
-        return out
-
-    x, iters = _cg(apply_A, rhs, x, ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(rhs))),
-                   ctrl.v_solve_max_iters, _ShiftedLaplaceInverse(grid, 1.0 + dt, dt))
-    if float(v.values.min()) >= 0.0 and float(u.values.min()) >= 0.0:
-        x = np.maximum(x, 0.0)
-    return Field(grid, x, allow_nonfinite=True), iters
+    nonneg = float(v.values.min()) >= 0.0 and float(u.values.min()) >= 0.0
+    tol = ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(rhs)))
+    x, _, corrections = _solve_shifted(grid, 1.0 + dt, dt, rhs,
+                                       np.array(v.values, dtype=np.float64), tol,
+                                       0.0 if nonneg else None)
+    if x is None:
+        raise RuntimeError(f"v-solve failed to converge in {corrections} corrections; "
+                           f"tolerance {tol:.3e}")
+    return Field(grid, x, allow_nonfinite=True), corrections
 
 
 def step(state: SimState, params: ModelParams, ctrl: StepControl,
@@ -719,7 +725,7 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
         dt *= 0.5
 
     u_new = Field(state.u.grid, u_vals, allow_nonfinite=True)
-    v_new, iters = advance_v(state.v, state.u, dt, ctrl, x0=state.v.values)
+    v_new, iters = advance_v(state.v, state.u, dt, ctrl)
 
     new_state = SimState(u=u_new, v=v_new, t=t_new, step=state.step + 1)
     # one-reduction finiteness probe: any nan/inf poisons the sum
@@ -742,7 +748,7 @@ class RunResult:
     comparison_violation: float
     steps: int
     # Newton corrections of the diffusion solves, their CG iterations, and
-    # the CG iterations of the v-solves
+    # the corrections of the v-solves
     newton_corrections: int
     u_solve_iters: int
     v_solve_iters: int

@@ -454,9 +454,19 @@ class TestCli:
         assert result.u_solve_iters > 0 and result.v_solve_iters > 0
         # m = 2: every step takes at least one Newton correction
         assert result.newton_corrections >= result.steps > 0
-        assert (f"({result.steps} steps; {result.newton_corrections} Newton corrections; "
-                f"CG iterations: {result.u_solve_iters} diffusion, "
-                f"{result.v_solve_iters} v-solve)") in capsys.readouterr().out
+        assert (f"({result.steps} steps; diffusion: {result.newton_corrections} corrections, "
+                f"{result.u_solve_iters} CG iterations; "
+                f"v-solve: {result.v_solve_iters} corrections)") in capsys.readouterr().out
+
+    def test_run_solver_failure_exits_2(self, tmp_path, capsys):
+        # the example run with one CG iteration allowed per Newton correction
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "run_example.json").read_text())
+        doc["control"] = {"v_solve_max_iters": 1}
+        cfg_path = self.write_config(tmp_path, doc)
+        assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failed: conjugate gradients failed to converge in 1 ")
+        assert err.count("\n") == 1
 
     def test_sweep_command_and_failure_exit(self, tmp_path):
         doc = small_sweep_doc()
@@ -511,6 +521,28 @@ class TestCli:
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["all_pass"]
+
+    @pytest.mark.parametrize("tuples", ["0", "-3"])
+    def test_kernels_bad_tuples_exit_1(self, capsys, tuples):
+        assert cli_main(["kernels", "--tuples", tuples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid option: --tuples must be >= 1, got {tuples}\n"
+
+    @pytest.mark.parametrize("option,value,error", [
+        ("--K", "nan", "--K must be finite and > 0, got nan"),
+        ("--K", "-1", "--K must be finite and > 0, got -1.0"),
+        ("--n-max", "-1", "--n-max must be >= 0, got -1"),
+    ], ids=["K-nan", "K-negative", "n-max-negative"])
+    def test_ladder_bad_option_exit_1(self, tmp_path, capsys, option, value, error):
+        cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        args = {"--K": "1", "--n-max": "8", option: value}
+        assert cli_main(["ladder", str(out_dir), *(x for kv in args.items() for x in kv)]) == 1
+        assert capsys.readouterr().err == f"invalid option: {error}\n"
+        assert not (out_dir / "ladder_custom.csv").exists()
 
     def test_ladder_command(self, tmp_path):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)

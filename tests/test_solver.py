@@ -327,44 +327,10 @@ class TestDiffusionUpdate:
         assert lw.tobytes() == _Laplacian(g)(w, np.empty_like(w)).tobytes()
 
 
-class TestConjugateGradients:
-    @pytest.mark.parametrize("pinned", [False, True])
-    def test_zero_start_matches_explicit_zeros(self, pinned):
-        # a Newton-correction-like system diag(d) - dt lap_h, with the
-        # pinned rows of a degenerate potential zeroed as diffusion_update
-        # zeroes them; starting from None must not change a bit
-        rng = np.random.default_rng(109)
-        g, dt = grid2d(16), 0.05
-        lap = _Laplacian(g)
-        d = rng.uniform(0.1, 10.0, g.cells)
-        active = rng.uniform(size=g.cells) > (0.2 if pinned else -1.0)
-        d *= active
-        rhs = -np.where(active, rng.normal(size=g.cells), 0.0)
-
-        def apply_J(x, out):
-            lap(x, out)
-            out *= -dt
-            out += d * x
-            out *= active
-            return out
-
-        inv_diag = active / (d + dt * lap.diag)
-        scale = np.sqrt(inv_diag)
-        shifted = _ShiftedLaplaceInverse(g, float((d * inv_diag).mean()),
-                                         dt * float(inv_diag.mean()))
-
-        def precond(x):
-            return scale * shifted(scale * x)
-
-        x0, it0 = _cg(apply_J, rhs, np.zeros(g.cells), 1e-9, 500, precond)
-        x1, it1 = _cg(apply_J, rhs, None, 1e-9, 500, precond)
-        assert it0 == it1 > 1
-        assert x1.tobytes() == x0.tobytes()
-
-
 def newton_systems(monkeypatch, u_vals, grid, m=2.0, sigma=1e-3, dt=0.01):
-    """The (preconditioner, rhs) of every CG solve that one diffusion_update
-    at r = u hands to _cg; each preconditioner keeps its d as `d`."""
+    """The (preconditioner, rhs, operator) of every CG solve that one
+    diffusion_update at r = u hands to _cg; each preconditioner keeps its d
+    as `d`."""
     systems = []
 
     class Recording(solver._NewtonPreconditioner):
@@ -372,9 +338,9 @@ def newton_systems(monkeypatch, u_vals, grid, m=2.0, sigma=1e-3, dt=0.01):
             super().__init__(grid, d, dt, active)
             self.d = d.copy()
 
-    def recording_cg(apply_A, rhs, x, tol, max_iters, precond=None):
-        systems.append((precond, rhs.copy()))
-        return _cg(apply_A, rhs, x, tol, max_iters, precond)
+    def recording_cg(apply_A, rhs, tol, max_iters, precond):
+        systems.append((precond, rhs.copy(), apply_A))
+        return _cg(apply_A, rhs, tol, max_iters, precond)
 
     monkeypatch.setattr(solver, "_NewtonPreconditioner", Recording)
     monkeypatch.setattr(solver, "_cg", recording_cg)
@@ -400,7 +366,7 @@ class TestNewtonPreconditioner:
         g = GridSpec(dim=2, cells=cells, extent=(1.0, 1.0))
         assert len(solver._levels(g)) == 4  # down to 16^2 and 16x8
         rng = np.random.default_rng(1)
-        for P, _ in newton_systems(monkeypatch, bump(g, centre=(0.4, 0.55)), g):
+        for P, _, _ in newton_systems(monkeypatch, bump(g, centre=(0.4, 0.55)), g):
             for _ in range(3):
                 x, y = rng.normal(size=cells), rng.normal(size=cells)
                 xPy, yPx = float(np.vdot(x, P(y))), float(np.vdot(y, P(x)))
@@ -416,7 +382,7 @@ class TestNewtonPreconditioner:
         u[u < 1.0] = 0.0
         rng = np.random.default_rng(2)
         systems = newton_systems(monkeypatch, u, g, sigma=0.0)
-        for P, _ in systems:
+        for P, _, _ in systems:
             z = P(rng.normal(size=g.cells))
             assert np.isfinite(z).all()
             assert not z[u == 0.0].any()
@@ -438,7 +404,7 @@ class TestNewtonPreconditioner:
             u = bump(grid)
         dt, m, sigma = 0.01, 2.0, 1e-3
         rng = np.random.default_rng(3)
-        for P, rhs in newton_systems(monkeypatch, u, grid, m, sigma, dt):
+        for P, rhs, _ in newton_systems(monkeypatch, u, grid, m, sigma, dt):
             d, n = P.d, grid.num_cells
             inv_diag = 1.0 / (d + dt * _Laplacian(grid).diag)
             shifted = _ShiftedLaplaceInverse(grid, float((d * inv_diag).sum()) / n,
@@ -460,6 +426,57 @@ class TestNewtonPreconditioner:
         assert res.u_solve_iters <= 4 * res.newton_corrections
 
 
+class TestConjugateGradients:
+    def test_iteration_cap_raises(self, monkeypatch):
+        # the first m != 1 Newton system of a bump, as diffusion_update hands
+        # it to _cg: a zero tolerance cannot be met, so the cap must raise
+        g = grid2d(32)
+        P, rhs, apply_J = newton_systems(monkeypatch, bump(g), g)[0]
+        with pytest.raises(RuntimeError, match="failed to converge in 3 iterations"):
+            _cg(apply_J, rhs, 0.0, 3, P)
+
+
+SHIFTED_GRIDS = {"1d-200": grid1d(200),
+                 "128x48": GridSpec(dim=2, cells=(128, 48), extent=(1.0, 3.0)),
+                 "128": grid2d(128)}
+
+
+class TestShiftedSolves:
+    """The two constant-coefficient solves step() runs, both through
+    _solve_shifted: the v-solve (1 + dt) v - dt lap_h v = v0 + dt u and the
+    m = 1 diffusion w - dt lap_h w = r."""
+
+    # At dt = 1e3 the m = 1 residual's rounding, about dt |lap_h| eps |w|,
+    # exceeds v_solve_tol (1 + |r|) on every grid here, so the solve gives
+    # up after _MAX_CORRECTIONS and step() halves dt; the v-solve's rhs
+    # grows with dt, and its tolerance with it.
+    @pytest.mark.parametrize("solve,grid,dt", [
+        pytest.param(solve, grid, dt, id=f"{solve}-{name}-{dt:g}",
+                     marks=[pytest.mark.xfail(
+                         strict=True, reason="tolerance below the residual's rounding")]
+                     if (solve, dt) == ("m1", 1e3) else [])
+        for solve in ("v", "m1") for name, grid in SHIFTED_GRIDS.items()
+        for dt in (1e-8, 1e-2, 1.0, 1e3)])
+    def test_residual_within_tolerance(self, solve, grid, dt):
+        # random data: one unchecked correction leaves the residual above
+        # tolerance at dt >= 1 on every grid here (5-11x on the 1-D grid),
+        # so the solve must test it again after the correction
+        rng = np.random.default_rng(113)
+        v0, u = rng.uniform(0, 1, grid.cells), rng.uniform(0, 1, grid.cells)
+        ctrl = StepControl()
+        if solve == "v":
+            x, corrections = advance_v(Field(grid, v0), Field(grid, u), dt, ctrl)
+            a, rhs, x = 1.0 + dt, v0 + dt * u, x.values
+        else:
+            work = _StepWork(Field(grid, u), Field(grid, v0), ModelParams(m=1.0, q=1.0, sigma=0.0))
+            x, _, corrections, cg_iters = work.diffusion_update(u.copy(), dt, ctrl)
+            assert cg_iters == 0
+            a, rhs = 1.0, u
+        assert x is not None and 1 <= corrections <= 2
+        res = a * x - rhs - dt * _Laplacian(grid)(x, np.empty(grid.cells))
+        assert np.linalg.norm(res) <= ctrl.v_solve_tol * (1.0 + np.linalg.norm(rhs))
+
+
 class TestAdvanceV:
     def test_constant_fixed_point(self):
         g = grid2d(8)
@@ -467,7 +484,7 @@ class TestAdvanceV:
         u = constant_field(g, 1.7)
         v_new, iters = advance_v(v, u, 0.05, StepControl())
         np.testing.assert_allclose(v_new.values, 1.7, rtol=0, atol=1e-13)
-        assert iters == 0  # warm start from rhs is already exact
+        assert iters == 0  # the previous v already solves the system
 
     def test_matches_scalar_ode(self):
         # spatially uniform: v' = u - v with u = 1, v0 = 0 has v(t) = 1 - e^-t
@@ -511,9 +528,10 @@ class TestAdvanceV:
         rng = np.random.default_rng(107)
         v = Field(g, rng.uniform(0, 1, (16, 16)))
         u = Field(g, rng.uniform(0, 1, (16, 16)))
-        ctrl = StepControl(v_solve_tol=1e-14, v_solve_max_iters=1)
-        with pytest.raises(RuntimeError):
-            advance_v(v, u, 0.5, ctrl, x0=np.zeros((16, 16)))
+        # a tolerance far below rounding: every correction misses it
+        ctrl = StepControl(v_solve_tol=1e-30)
+        with pytest.raises(RuntimeError, match="failed to converge in 30 corrections"):
+            advance_v(v, u, 0.5, ctrl)
 
 
 class TestStep:
