@@ -6,10 +6,10 @@ Subcommands:
   kernels          self-verify the analytic kernels, emit a JSON report
   ladder <run-dir> rebuild a truncation ladder from a stored run series
 
-Exit codes: 0 on success; 1 on configuration errors and invalid option
-values; 2 when a run's solver fails (a solve that does not converge within
-its cap), when a completed sweep contains failed jobs, or when the kernel
-self-check fails.  Each error is reported as one line on stderr.
+Exit codes: 0 on success; 1 on configuration errors, invalid option values
+and run directories `ladder` cannot read; 2 when a run's solver fails (a
+solve that does not converge within its cap), when a completed sweep
+contains failed jobs, or when the kernel self-check fails.  Each error is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .kernels import exponent_ms_qs, self_check
 from .outputs import (SWEEP_JSON, emit_run_outputs, load_series,
                       write_ladder_csv, write_sweep_json)
 from .sweep import execute_run, run_sweep
+
+# Keys that run directories written before their retirement still echo in
+# metadata.json; `ksfv ladder` drops them before parsing the echo.
+_RETIRED_KEYS = (("control", "v_solve_max_iters"), ("diagnostics", "ladder_k_mode"))
 
 
 def _load_config(text: str, kind, **overrides):
@@ -99,7 +103,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_kernels(args) -> int:
     if args.tuples < 1:
         return _invalid_option(f"--tuples must be >= 1, got {args.tuples}")
-    report = self_check(tuples=args.tuples, seed=args.seed or 0)
+    if args.seed < 0:
+        return _invalid_option(f"--seed must be >= 0, got {args.seed}")
+    report = self_check(tuples=args.tuples, seed=args.seed)
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -118,10 +124,18 @@ def _cmd_ladder(args) -> int:
     if not meta_path.exists():
         print(f"no run metadata found in {run_dir}", file=sys.stderr)
         return 1
-    meta = json.loads(meta_path.read_text())
-    times, fields = load_series(run_dir)
-    cfg = _load_config(json.dumps(meta["config"]), RunConfig)
-    m_s, _ = exponent_ms_qs(meta["s_used"], cfg.model.m, cfg.model.q, meta["N_used"])
+    try:
+        meta = json.loads(meta_path.read_text())
+        doc, s_used, N_used = meta["config"], meta["s_used"], meta["N_used"]
+        times, fields = load_series(run_dir)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"unreadable run in {run_dir}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    for section, key in _RETIRED_KEYS:
+        if isinstance(doc, dict) and isinstance(doc.get(section), dict):
+            doc[section].pop(key, None)
+    cfg = _load_config(json.dumps(doc), RunConfig)
+    m_s, _ = exponent_ms_qs(s_used, cfg.model.m, cfg.model.q, N_used)
     ladder = build_ladder(list(times), list(fields), cfg.grid.cell_volume,
                           K=args.K, n_max=args.n_max, m_s=m_s)
     out = Path(args.out) if args.out else run_dir / "ladder_custom.csv"
@@ -149,7 +163,7 @@ def main(argv=None) -> int:
     p_k = sub.add_parser("kernels", help="kernel self-verification report")
     p_k.add_argument("--out", default=None)
     p_k.add_argument("--tuples", type=int, default=200)
-    p_k.add_argument("--seed", type=int, default=None)
+    p_k.add_argument("--seed", type=int, default=0)
 
     p_l = sub.add_parser("ladder", help="rebuild a ladder from a run artifact")
     p_l.add_argument("run_dir")

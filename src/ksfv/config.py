@@ -17,7 +17,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Any
 
 from .diagnostics import DiagnosticsConfig, analytic_exponents
@@ -90,9 +90,6 @@ class RunConfig:
 
     def make_initial(self) -> InitialData:
         return make_initial_data(self.grid, seed=self.seed, **vars(self.initial))
-
-    def with_exponents(self, m: float, q: float) -> "RunConfig":
-        return replace(self, model=replace(self.model, m=m, q=q))
 
 
 @dataclass(frozen=True)
@@ -260,13 +257,9 @@ def run_config_to_dict(cfg: RunConfig) -> dict[str, Any]:
     return {"kind": "run", **_echo(cfg)}
 
 
-def sweep_config_to_dict(cfg: SweepConfig, include_workers: bool = True) -> dict[str, Any]:
-    """Echo of a sweep config.
-
-    Output artifacts set include_workers=False so that the same sweep
-    produces byte-identical files at any worker count.
-    """
+def sweep_config_to_dict(cfg: SweepConfig) -> dict[str, Any]:
+    """Echo of a sweep config without `workers`, so that the same sweep
+    produces byte-identical artifacts at any worker count."""
     doc = {"kind": "sweep", **_echo(cfg)}
-    if not include_workers:
-        del doc["workers"]
+    del doc["workers"]
     return doc

@@ -30,8 +30,7 @@ from .solver import SimState
 class DiagnosticsConfig:
     p_list: tuple[float, ...] = (1.0, 2.0, 4.0)
     ladder_n_max: int = 8
-    ladder_k_mode: str = "sup_multiple"   # or "fixed"
-    ladder_k_value: float = 0.5
+    ladder_k_value: float = 0.5   # the ladder's K, as a multiple of the run's peak sup u
     s: int | None = None          # None: smallest admissible integer
     p_fr1: float | None = None    # None: N + 2 (must exceed (N+2)/2)
     N: int | None = None          # analytic dimension; None: max(dim, 2)
@@ -43,8 +42,6 @@ class DiagnosticsConfig:
             raise ValueError(f"ladder_n_max must be >= 0, got {self.ladder_n_max}")
         if any(p < 1 for p in self.p_list):
             raise ValueError("every p in p_list must be >= 1")
-        if self.ladder_k_mode not in ("sup_multiple", "fixed"):
-            raise ValueError(f"unknown ladder K mode {self.ladder_k_mode!r}")
         if self.ladder_k_value <= 0:
             raise ValueError("ladder K value must be positive")
 
@@ -207,14 +204,12 @@ def build_ladder(times: list[float], u_samples: list[np.ndarray], cell_volume: f
 
 def ladder_for_run(times, u_samples, cell_volume, params: ModelParams,
                    config: DiagnosticsConfig, sup_u_overall: float) -> DeGiorgiLadder | None:
-    """Ladder with K chosen by the configured policy; None when the run
-    never produced a positive sup (nothing to truncate)."""
+    """Ladder at K = ladder_k_value * sup_u_overall; None when the run never
+    produced a positive sup (nothing to truncate).  `ksfv ladder --K`
+    builds one at any other K."""
     N, s, _ = analytic_exponents(params, config)
     m_s, _ = exponent_ms_qs(s, params.m, params.q, N)
-    if config.ladder_k_mode == "fixed":
-        K = config.ladder_k_value
-    else:
-        K = config.ladder_k_value * sup_u_overall
+    K = config.ladder_k_value * sup_u_overall
     if K <= 0:
         return None
     return build_ladder(times, u_samples, cell_volume, K, config.ladder_n_max, m_s)

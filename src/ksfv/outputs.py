@@ -126,7 +126,7 @@ def write_sweep_json(result: SweepResult, path: Path) -> None:
     from . import __version__
 
     doc = {
-        "config": sweep_config_to_dict(result.config, include_workers=False),
+        "config": sweep_config_to_dict(result.config),
         "points": [{k: _jsonable(v) for k, v in pt.items()} for pt in result.points],
         "failures": len(result.failures),
         "versions": {"ksfv": __version__, "numpy": np.__version__,

@@ -45,7 +45,8 @@ against 0.38-0.47 s), which is why such grids keep one level.
 The v-solve and the diffusion solve stop at the residual 2-norm
 v_solve_tol * (1 + |rhs|); the CG solve of each m != 1 Newton correction
 stops earlier, at an Eisenstat-Walker forcing term times the current Newton
-residual (inexact Newton, see _StepWork.diffusion_update).
+residual (inexact Newton, see _StepWork.diffusion_update), and fails the run
+after _MAX_CG_ITERS iterations.
 
 Diffusion is unconditionally stable, so there is no h^2 cap.  The time step
 is safety * min(chemotactic outflow bound, accuracy bound, dt_max).  The
@@ -58,6 +59,7 @@ safety / (2 dim) at the pre-step rate.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,7 +83,6 @@ class StepControl:
     dt_min: float = 1e-12
     dt_max: float = 0.1
     v_solve_tol: float = 1e-10
-    v_solve_max_iters: int = 20000
     max_steps: int = 50_000_000
     dt_fixed: float | None = None   # capped at the outflow and accuracy bounds when set
 
@@ -94,9 +95,8 @@ class StepControl:
             raise ValueError(f"dt_fixed must be > 0, got {self.dt_fixed}")
         if not self.v_solve_tol > 0.0:
             raise ValueError(f"v_solve_tol must be > 0, got {self.v_solve_tol}")
-        if self.v_solve_max_iters < 1 or self.max_steps < 1:
-            raise ValueError("v_solve_max_iters and max_steps must be >= 1, got "
-                             f"{self.v_solve_max_iters}, {self.max_steps}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 REACHED_T = "reached_T"
@@ -188,11 +188,22 @@ class _Laplacian:
         return out
 
 
-@lru_cache(maxsize=None)
+def _per_thread(build):
+    """Cache build(grid) once per grid in each thread: what it builds holds
+    scratch arrays, which two threads must not share."""
+    local = threading.local()
+
+    def cached(grid):
+        cache = local.__dict__.setdefault("cache", {})
+        if grid not in cache:
+            cache[grid] = build(grid)
+        return cache[grid]
+    return cached
+
+
+@_per_thread
 def _laplacian(grid: GridSpec) -> _Laplacian:
-    """The grid's Laplacian, built once.  Its scratch arrays are shared by
-    every caller in the process, so calls must not nest or run in parallel
-    threads (sweeps run their points in separate processes)."""
+    """The grid's Laplacian, built once per thread; calls must not nest."""
     return _Laplacian(grid)
 
 
@@ -278,8 +289,10 @@ class _ShiftedLaplaceInverse:
 
 
 # The cap on the Newton corrections of the diffusion solve and on the
-# corrections of _solve_shifted
+# corrections of _solve_shifted, and the cap on the CG iterations of one
+# m != 1 Newton correction
 _MAX_CORRECTIONS = 30
+_MAX_CG_ITERS = 20000
 
 
 def _solve_shifted(grid: GridSpec, a: float, dt: float, rhs: np.ndarray, x: np.ndarray,
@@ -347,10 +360,11 @@ def _restrict(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@_per_thread
 def _levels(grid: GridSpec) -> tuple:
     """The V-cycle's levels, finest first: each level's grid (all with the
-    same extent), its Laplacian and two scratch arrays."""
+    same extent), its Laplacian and two scratch arrays, built once per
+    thread."""
     grids = [grid]
     if grid.dim == 2 and grid.num_cells > _MG_MIN_CELLS:
         # a GridSpec needs at least 3 cells per axis
@@ -376,8 +390,8 @@ class _NewtonPreconditioner:
     exactly that.  Restriction is a multiple of the transposed
     prolongation and the sweeps match on both sides, so the cycle is a
     symmetric positive definite operator.  Only the d-dependent pieces are
-    built here; the levels are cached per grid, so two instances on one
-    grid must not be applied at once.
+    built here; the levels are cached per grid and thread, so two instances
+    on one grid must not be applied at once in one thread.
     """
 
     def __init__(self, grid: GridSpec, d: np.ndarray, dt: float, active=None):
@@ -657,7 +671,7 @@ class _StepWork:
                     out *= active
                 return out
 
-            dw, iters = _cg(apply_J, -res, max(tol, eta * res_norm), ctrl.v_solve_max_iters,
+            dw, iters = _cg(apply_J, -res, max(tol, eta * res_norm), _MAX_CG_ITERS,
                             _NewtonPreconditioner(self.grid, d, dt, active if pinned else None))
             cg_iters += iters
             w += dw

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import RunConfig, SweepConfig
 from .diagnostics import DiagnosticsTracker, analytic_exponents
@@ -79,7 +79,7 @@ def _sweep_point(args) -> dict:
     i, j, m, q, template = args
     point = {"i": i, "j": j, "m": m, "q": q}
     try:
-        cfg = template.with_exponents(m, q)
+        cfg = replace(template, model=replace(template.model, m=m, q=q))
         N, _, _ = analytic_exponents(cfg.model, cfg.diagnostics)
         regime = classify_regime(cfg.model, N)
         result, _ = execute_run(cfg)
@@ -111,34 +111,6 @@ class SweepResult:
     @property
     def failures(self) -> list[dict]:
         return [pt for pt in self.points if pt["error"] is not None]
-
-
-def sigma_ladder_report(cfg: RunConfig,
-                        sigmas=(1e-1, 1e-2, 1e-3, 0.0)) -> list[dict]:
-    """Rerun one configuration across a ladder of regularization strengths.
-
-    Purely observational: emits one summary per sigma (termination, mass
-    drift, sup monitors, the diagnostics records) so the approach to the
-    sigma -> 0 limit can be inspected.  No claim is attached to the limit;
-    the bounds being monitored carry unknown constants.
-    """
-    from dataclasses import replace
-
-    reports = []
-    for sigma in sigmas:
-        run_cfg = replace(cfg, model=replace(cfg.model, sigma=sigma))
-        result, _ = execute_run(run_cfg)
-        masses = [rec.mass for rec in result.records]
-        reports.append({
-            "sigma": sigma,
-            "termination": result.termination,
-            "t_end": result.final_state.t,
-            "mass_drift": max(abs(mm - masses[0]) for mm in masses),
-            "running_max_sup_u": result.running_max_sup_u,
-            "running_max_sup_grad_v": result.running_max_sup_grad_v,
-            "records": result.records,
-        })
-    return reports
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

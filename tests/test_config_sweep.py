@@ -1,22 +1,24 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ksfv import solver
 from ksfv.cli import main as cli_main
 from ksfv.config import (ConfigError, RunConfig, SweepConfig, parse_config,
                          run_config_to_dict, sweep_config_to_dict)
 from ksfv.diagnostics import ladder_for_run
-from ksfv.outputs import (LADDER_CSV, METADATA_JSON, RUN_CSV, SWEEP_JSON,
-                          emit_run_outputs, read_run_csv, run_csv_header,
-                          write_sweep_json)
+from ksfv.outputs import (LADDER_CSV, METADATA_JSON, RUN_CSV, SERIES_FIELDS_NPY,
+                          SERIES_TIMES_NPY, SWEEP_JSON, emit_run_outputs, read_run_csv,
+                          run_csv_header, write_sweep_json)
 from ksfv.solver import run
 from ksfv.sweep import (BLOW_UP, BOUNDED, INCONCLUSIVE, Classification, classify_run,
-                        execute_run, run_sweep, sigma_ladder_report)
+                        execute_run, run_sweep)
 
 
 MINIMAL_RUN = {
@@ -175,11 +177,14 @@ MALFORMED = [
                  "control: dt_fixed must be > 0", id="dt-fixed-zero"),
     pytest.param(small_run_doc(control={"v_solve_tol": 0}),
                  "control: v_solve_tol must be > 0", id="v-solve-tol-zero"),
-    pytest.param(small_run_doc(control={"v_solve_max_iters": 0}),
-                 "control: v_solve_max_iters and max_steps must be >= 1",
-                 id="v-solve-max-iters-zero"),
     pytest.param(small_run_doc(control={"max_steps": 0}),
-                 "control: v_solve_max_iters and max_steps must be >= 1", id="max-steps-zero"),
+                 "control: max_steps must be >= 1", id="max-steps-zero"),
+    # retired keys: the CG cap is a solver constant, and a fixed-K ladder
+    # is what `ksfv ladder --K` builds
+    pytest.param(small_run_doc(control={"v_solve_max_iters": 1}),
+                 "control.v_solve_max_iters: unknown key", id="retired-v-solve-max-iters"),
+    pytest.param(small_run_doc(diagnostics={"ladder_k_mode": "fixed"}),
+                 "diagnostics.ladder_k_mode: unknown key", id="retired-ladder-k-mode"),
     pytest.param(small_run_doc(diagnostics={"N": 1}),
                  "diagnostics: analytic dimension N must be >= 2", id="N-1"),
     pytest.param(small_run_doc(diagnostics={"s": 0}),
@@ -282,7 +287,8 @@ class TestSweep:
         assert len(result.points) == 1
         pt = result.points[0]
 
-        run_cfg = sweep_cfg.template.with_exponents(2.0, 1.0)
+        template = sweep_cfg.template
+        run_cfg = replace(template, model=replace(template.model, m=2.0, q=1.0))
         res, _ = execute_run(run_cfg)
         verdict = classify_run(res, run_cfg.thresholds.bounded_multiple)
         assert pt["classification"] == verdict.label
@@ -326,19 +332,19 @@ class TestSweep:
         keys = [(pt["i"], pt["j"]) for pt in result.points]
         assert keys == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
-    def test_sigma_ladder_reports_every_rung(self):
-        # observational only: one summary per sigma, down to sigma = 0,
-        # with mass conserved on every rung; nothing asserted about the limit
-        doc = small_run_doc(initial={"preset": "gaussian-bump", "mass": 1.0,
+    @pytest.mark.parametrize("sigma", [1e-1, 1e-2, 1e-3, 0.0])
+    def test_sigma_rung_conserves_mass(self, sigma):
+        # each regularization down to sigma = 0 reaches the horizon with
+        # mass conserved; nothing is asserted about the sigma -> 0 limit
+        doc = small_run_doc(model={"m": 2.0, "q": 1.0, "sigma": sigma},
+                            initial={"preset": "gaussian-bump", "mass": 1.0,
                                      "width": 0.3})
-        cfg = parse_config(json.dumps(doc))
-        reports = sigma_ladder_report(cfg, sigmas=(1e-1, 1e-2, 1e-3, 0.0))
-        assert [r["sigma"] for r in reports] == [1e-1, 1e-2, 1e-3, 0.0]
-        for r in reports:
-            assert r["termination"] == "reached_T"
-            assert r["mass_drift"] <= 1e-10
-            assert math.isfinite(r["running_max_sup_u"])
-            assert len(r["records"]) >= 2
+        result, _ = execute_run(parse_config(json.dumps(doc)))
+        masses = [rec.mass for rec in result.records]
+        assert result.termination == "reached_T"
+        assert max(abs(mm - masses[0]) for mm in masses) <= 1e-10
+        assert math.isfinite(result.running_max_sup_u)
+        assert len(result.records) >= 2
 
 
 class TestOutputs:
@@ -405,7 +411,17 @@ class TestOutputs:
         write_sweep_json(result, tmp_path / SWEEP_JSON)
         saved = json.loads((tmp_path / SWEEP_JSON).read_text())
         assert len(saved["points"]) == 6
-        assert saved["config"] == sweep_config_to_dict(cfg, include_workers=False)
+        assert saved["config"] == sweep_config_to_dict(cfg)
+
+
+def _metadata_not_json(out_dir):
+    (out_dir / METADATA_JSON).write_text("{not json")
+
+
+def _metadata_without_s_used(out_dir):
+    meta = json.loads((out_dir / METADATA_JSON).read_text())
+    del meta["s_used"]
+    (out_dir / METADATA_JSON).write_text(json.dumps(meta))
 
 
 class TestCli:
@@ -458,11 +474,10 @@ class TestCli:
                 f"{result.u_solve_iters} CG iterations; "
                 f"v-solve: {result.v_solve_iters} corrections)") in capsys.readouterr().out
 
-    def test_run_solver_failure_exits_2(self, tmp_path, capsys):
+    def test_run_solver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # the example run with one CG iteration allowed per Newton correction
-        doc = json.loads((Path(__file__).parents[1] / "configs" / "run_example.json").read_text())
-        doc["control"] = {"v_solve_max_iters": 1}
-        cfg_path = self.write_config(tmp_path, doc)
+        monkeypatch.setattr(solver, "_MAX_CG_ITERS", 1)
+        cfg_path = str(Path(__file__).parents[1] / "configs" / "run_example.json")
         assert cli_main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("solver failed: conjugate gradients failed to converge in 1 ")
@@ -529,6 +544,12 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"invalid option: --tuples must be >= 1, got {tuples}\n"
 
+    def test_kernels_negative_seed_exit_1(self, capsys):
+        assert cli_main(["kernels", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid option: --seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("option,value,error", [
         ("--K", "nan", "--K must be finite and > 0, got nan"),
         ("--K", "-1", "--K must be finite and > 0, got -1.0"),
@@ -553,9 +574,10 @@ class TestCli:
         lines = (out_dir / "ladder_custom.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 5
 
-    def test_ladder_command_reproduces_run_ladder(self, tmp_path):
-        # the run's own K and n_max on a non-square grid: the rebuilt ladder
-        # must match the run's ladder.csv byte for byte
+    def rebuild_run_ladder(self, tmp_path, edit_metadata=None):
+        """Run a small document on a non-square grid, let edit_metadata
+        change its metadata.json, and rebuild the ladder at the run's own K
+        and n_max; returns the rebuilt and the run's ladder.csv bytes."""
         doc = small_run_doc(grid={"dim": 2, "cells": [8, 6], "extent": [1.3, 0.7]},
                             initial={"preset": "random-nonneg", "low": 0.1, "high": 1.0})
         cfg_path = self.write_config(tmp_path, doc)
@@ -563,7 +585,44 @@ class TestCli:
         assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
         meta = json.loads((out_dir / METADATA_JSON).read_text())
         K = meta["config"]["diagnostics"]["ladder_k_value"] * meta["running_max_sup_u"]
+        if edit_metadata is not None:
+            edit_metadata(meta)
+            (out_dir / METADATA_JSON).write_text(json.dumps(meta, indent=2))
         rebuilt = tmp_path / "rebuilt.csv"
         assert cli_main(["ladder", str(out_dir), "--K", repr(K), "--n-max", "8",
                          "--out", str(rebuilt)]) == 0
-        assert rebuilt.read_bytes() == (out_dir / LADDER_CSV).read_bytes()
+        return rebuilt.read_bytes(), (out_dir / LADDER_CSV).read_bytes()
+
+    def test_ladder_command_reproduces_run_ladder(self, tmp_path):
+        # the run's own K and n_max: the rebuilt ladder must match the run's
+        # ladder.csv byte for byte
+        rebuilt, original = self.rebuild_run_ladder(tmp_path)
+        assert rebuilt == original
+
+    def test_ladder_reads_echo_with_retired_keys(self, tmp_path):
+        # run directories written before control.v_solve_max_iters and
+        # diagnostics.ladder_k_mode were retired still echo both
+        def add_retired_keys(meta):
+            meta["config"]["control"]["v_solve_max_iters"] = 20000
+            meta["config"]["diagnostics"]["ladder_k_mode"] = "sup_multiple"
+
+        rebuilt, original = self.rebuild_run_ladder(tmp_path, add_retired_keys)
+        assert rebuilt == original
+
+    @pytest.mark.parametrize("damage,error", [
+        (_metadata_not_json, "JSONDecodeError: "),
+        (lambda out_dir: (out_dir / SERIES_TIMES_NPY).unlink(), "FileNotFoundError: "),
+        (lambda out_dir: (out_dir / SERIES_FIELDS_NPY).unlink(), "FileNotFoundError: "),
+        (_metadata_without_s_used, "KeyError: 's_used'"),
+    ], ids=["metadata-not-json", "series-t-missing", "series-u-missing", "s-used-missing"])
+    def test_ladder_unreadable_run_exits_1(self, tmp_path, capsys, damage, error):
+        cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        damage(out_dir)
+        capsys.readouterr()
+        assert cli_main(["ladder", str(out_dir), "--K", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"unreadable run in {out_dir}: {error}")
+        assert err.count("\n") == 1
+        assert not (out_dir / "ladder_custom.csv").exists()

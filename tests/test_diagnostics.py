@@ -211,10 +211,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DiagnosticsConfig(p_list=(0.5,))
 
-    def test_rejects_bad_ladder_mode(self):
-        with pytest.raises(ValueError):
-            DiagnosticsConfig(ladder_k_mode="nope")
-
     def test_rejects_s_below_constraint(self):
         params = ModelParams(m=3.0, q=0.5, dim=2)
         # m - 2q = 2, so s = 1 is inadmissible

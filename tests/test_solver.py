@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -785,6 +786,26 @@ class TestRun:
         assert res.v_solve_iters == sum(o.v_solve_iters for o in outcomes)
         assert res.newton_corrections > res.steps  # m = 2 needs several corrections
         assert res.u_solve_iters >= res.newton_corrections
+
+    def test_concurrent_runs_match_serial(self):
+        # two runs at once in one process, on the (2,1) bump of the
+        # bounded-side benchmark at 128^2 (a multigrid grid): neither may
+        # touch the other's solver scratch
+        init = make_initial_data(grid2d(128), "gaussian-bump",
+                                 mass=1.5 * CRITICAL_MASS_2D, width=0.08)
+        params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
+
+        def final_u():
+            res = run(init, params, StepControl(max_steps=15), horizon=1.0, samples=2)
+            assert res.steps == 15
+            return res.final_state.u.values
+
+        serial = final_u()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(final_u) for _ in range(2)]
+            for future in futures:
+                u = future.result(timeout=300)
+                assert np.linalg.norm(u - serial) <= 1e-12 * np.linalg.norm(serial)
 
     def test_final_state_always_sampled(self):
         init = self.steady_initial()
