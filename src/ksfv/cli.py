@@ -6,10 +6,11 @@ Subcommands:
   kernels          self-verify the analytic kernels, emit a JSON report
   ladder <run-dir> rebuild a truncation ladder from a stored run series
 
-Exit codes: 0 on success; 1 on configuration errors, invalid option values
-and run directories `ladder` cannot read; 2 when a run's solver fails (a
-solve that does not converge within its cap), when a completed sweep
-contains failed jobs, or when the kernel self-check fails.  Each error is reported as one line on stderr.
+Exit codes: 0 on success; 1 on configuration errors, invalid option values,
+run directories `ladder` cannot read and outputs that cannot be written; 2
+when a run's solver fails (a solve that does not converge within its cap),
+when a completed sweep contains failed jobs, or when the kernel self-check
+fails.  Each error is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, SweepConfig, parse_config
+from .config import ConfigError, RunConfig, SweepConfig, _convert, parse_config
 from .diagnostics import build_ladder, ladder_for_run
 from .kernels import exponent_ms_qs, self_check
 from .outputs import (SWEEP_JSON, emit_run_outputs, load_series,
@@ -66,9 +67,25 @@ def _invalid_option(message: str) -> int:
     return 1
 
 
+def _error(prefix: str, e: Exception) -> int:
+    print(f"{prefix}: {type(e).__name__}: {e}", file=sys.stderr)
+    return 1
+
+
+def _make_out_dir(path: str) -> Path:
+    """The output directory, created before any work is done; exits with
+    code 1 when it cannot be."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise SystemExit(_error("cannot write output", e))
+    return out_dir
+
+
 def _cmd_run(args) -> int:
     cfg: RunConfig = _load_config(_read_text(args.config), RunConfig, seed=args.seed)
-    out_dir = Path(args.out)
+    out_dir = _make_out_dir(args.out)
 
     try:
         result, tracker = execute_run(cfg)
@@ -89,8 +106,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg: SweepConfig = _load_config(_read_text(args.config), SweepConfig,
                                     workers=args.workers, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
 
     result = run_sweep(cfg)
     write_sweep_json(result, out_dir / SWEEP_JSON)
@@ -108,7 +124,10 @@ def _cmd_kernels(args) -> int:
     report = self_check(tuples=args.tuples, seed=args.seed)
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as e:
+            return _error("cannot write output", e)
     else:
         print(text)
     return 0 if report["all_pass"] else 2
@@ -126,20 +145,29 @@ def _cmd_ladder(args) -> int:
         return 1
     try:
         meta = json.loads(meta_path.read_text())
-        doc, s_used, N_used = meta["config"], meta["s_used"], meta["N_used"]
+        doc, errors = meta["config"], []
+        s_used = _convert(float, meta["s_used"], "s_used", errors)
+        N_used = _convert(int, meta["N_used"], "N_used", errors)
+        if errors:
+            raise ValueError("; ".join(errors))
         times, fields = load_series(run_dir)
     except (OSError, ValueError, KeyError, TypeError) as e:
-        print(f"unreadable run in {run_dir}: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        return _error(f"unreadable run in {run_dir}", e)
     for section, key in _RETIRED_KEYS:
         if isinstance(doc, dict) and isinstance(doc.get(section), dict):
             doc[section].pop(key, None)
     cfg = _load_config(json.dumps(doc), RunConfig)
-    m_s, _ = exponent_ms_qs(s_used, cfg.model.m, cfg.model.q, N_used)
+    try:
+        m_s, _ = exponent_ms_qs(s_used, cfg.model.m, cfg.model.q, N_used)
+    except ValueError as e:  # N_used < 2
+        return _error(f"unreadable run in {run_dir}", e)
     ladder = build_ladder(list(times), list(fields), cfg.grid.cell_volume,
                           K=args.K, n_max=args.n_max, m_s=m_s)
     out = Path(args.out) if args.out else run_dir / "ladder_custom.csv"
-    write_ladder_csv(ladder, out)
+    try:
+        write_ladder_csv(ladder, out)
+    except OSError as e:
+        return _error("cannot write output", e)
     print(f"ladder written to {out}")
     return 0
 

@@ -19,6 +19,14 @@ One step advances (u, v) by operator splitting:
      positive definite and an M-matrix, so the exact update preserves
      nonnegativity and the discrete maximum principle).
 
+Every face operation runs on one flat face layout (_FaceBuffer): along an
+axis of flat stride st (n1 for axis 0 of an n0 x n1 grid, else 1), the
+faces are the contiguous shift x[st:] - x[:-st] between zero borders of st
+entries, so a cell's divergence is one subtraction, +axis face minus -axis
+face, and no slice strides.  On the last axis of a 2-D grid the shift also
+pairs (i, n1-1) with (i+1, 0); these wrap faces are set to exactly 0.0
+after each difference, so nothing, finite or not, crosses a row end.
+
 Every implicit system here is symmetric positive definite.  Two have
 constant coefficients: the v-solve, whose operator is (1 + dt) - dt lap_h,
 and the m = 1 diffusion step, whose operator is I - dt lap_h.  One routine,
@@ -133,56 +141,55 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
         return x ** e
 
 
-@lru_cache(maxsize=None)
-def _slices(dim: int, axis: int):
-    left = tuple(slice(0, -1) if k == axis else slice(None) for k in range(dim))
-    right = tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
-    return left, right
+class _FaceBuffer:
+    """One axis of the flat face layout (see the module docstring): `faces`
+    holds the face between raveled cells k and k + st at k, `plus` and
+    `minus` are each cell's +axis and -axis face (a zero border past the
+    ends), and `interior` the interior faces, one fewer along the axis."""
 
+    def __init__(self, grid: GridSpec, axis: int):
+        n, n1 = grid.num_cells, grid.cells[-1]
+        self.st = st = n // math.prod(grid.cells[:axis + 1])
+        buf = np.zeros(n + st)
+        self.faces = buf[st:n]
+        self.plus = buf[st:].reshape(grid.cells)
+        self.minus = buf[:n].reshape(grid.cells)
+        self.interior = self.plus[(slice(None),) * axis + (slice(-1),)]
+        self.wrap = slice(n1 - 1, None, n1) if axis else slice(0)
 
-def _chemotactic_flux(uq: np.ndarray, v: np.ndarray, axis: int, h: float):
-    """Donor-cell upwinded face flux (u_donor)^q (v_R - v_L)/h along `axis`,
-    on interior faces only (boundary faces carry none); uq holds u^q.
-
-    The donor is the left cell where the face gradient of v is positive
-    (transport toward +axis) and the right cell otherwise, so an empty
-    donor carries no flux.  Returns the flux and the face gradient.
-    """
-    left, right = _slices(v.ndim, axis)
-    dv = (v[right] - v[left]) * (1.0 / h)
-    return np.where(dv > 0.0, uq[left], uq[right]) * dv, dv
+    def diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """faces := a - b (raveled cells shifted by st), wrap faces 0.0."""
+        np.subtract(a, b, out=self.faces)
+        self.faces[self.wrap] = 0.0
+        return self.faces
 
 
 class _Laplacian:
     """Matrix-free Neumann Laplacian: (2*dim+1)-point, flux form.
 
-    Each cell gets (right face difference - left face difference) per axis,
-    one rounding each, and the axis terms are summed in a fixed order, so
-    the result is bitwise mirror-symmetric for mirror-symmetric input.
-    Every interior face difference enters its two cells with opposite
-    signs, so the entries sum to zero up to rounding; boundary faces carry
-    nothing.
+    Each cell gets (+axis face difference - -axis face difference) per axis
+    in the flat face layout, one rounding each, and the axis terms are summed
+    in a fixed order, so the result is bitwise mirror-symmetric for
+    mirror-symmetric input.  Every interior face difference enters its two
+    cells with opposite signs, so the entries sum to zero up to rounding;
+    boundary and wrap faces are 0.0 and carry nothing.
     """
 
     def __init__(self, grid):
-        self.axes = [(_slices(grid.dim, axis), 1.0 / grid.spacing[axis] ** 2)
-                     for axis in range(grid.dim)]
-        self.diffs = [np.empty(tuple(n - 1 if k == axis else n
-                                     for k, n in enumerate(grid.cells)))
-                      for axis in range(grid.dim)]
+        self.diffs = [_FaceBuffer(grid, axis) for axis in range(grid.dim)]
+        self.scales = [1.0 / h ** 2 for h in grid.spacing]
         self.term = np.empty(grid.cells)
         # magnitude of the diagonal at an interior cell
-        self.diag = sum(2.0 * s for _, s in self.axes)
+        self.diag = sum(2.0 * s for s in self.scales)
 
     def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        xf = x.reshape(-1)
         with np.errstate(invalid="ignore", over="ignore"):
-            for axis, (((left, right), scale), g) in enumerate(zip(self.axes, self.diffs)):
-                np.subtract(x[right], x[left], out=g)
-                g *= scale
+            for axis, (g, scale) in enumerate(zip(self.diffs, self.scales)):
+                g.diff(xf[g.st:], xf[:-g.st])
+                g.faces *= scale
                 term = out if axis == 0 else self.term
-                term[right] = 0.0
-                term[left] = g
-                term[right] -= g
+                np.subtract(g.plus, g.minus, out=term)
                 if axis:
                     out += term
         return out
@@ -205,6 +212,12 @@ def _per_thread(build):
 def _laplacian(grid: GridSpec) -> _Laplacian:
     """The grid's Laplacian, built once per thread; calls must not nest."""
     return _Laplacian(grid)
+
+
+@_per_thread
+def _flux_faces(grid: GridSpec) -> list:
+    """_StepWork's chemotactic flux and its two parts per axis, per thread."""
+    return [[_FaceBuffer(grid, axis) for _ in range(3)] for axis in range(grid.dim)]
 
 
 def _cg(apply_A, rhs: np.ndarray, tol: float, max_iters: int,
@@ -468,15 +481,14 @@ class _StepWork:
     """Chemotactic face fluxes, their outflow/inflow rates and the dt
     bounds at the pre-step state, plus the implicit diffusion solve.
 
-    Face fluxes are kept on interior faces only (boundary faces are
-    identically zero).  The chemotactic bound is each cell's content over
-    its outflow rate; the diffusive rate lap_h w(u) enters only the
-    accuracy bound, since diffusion itself is implicit.
+    Face fluxes are kept in the flat face layout, whose boundary and wrap
+    faces are 0.0.  The chemotactic bound is each cell's content over its
+    outflow rate; the diffusive rate lap_h w(u) enters only the accuracy
+    bound, since diffusion itself is implicit.
     """
 
     def __init__(self, u: Field, v: Field, params: ModelParams):
         grid = u.grid
-        dim = grid.dim
         uv = u.values
 
         self.lap = _laplacian(grid)
@@ -490,23 +502,26 @@ class _StepWork:
         sup_dv = math.nan
         if params.chemotaxis:
             sup_dv = 0.0
-            uq = _power(uv, params.q)
-            vv = v.values
-            for axis in range(dim):
-                h = grid.spacing[axis]
-                left, right = _slices(dim, axis)
-                F, dv = _chemotactic_flux(uq, vv, axis, h)
-                if dv.size:
-                    sup_dv = max(sup_dv, float(np.abs(dv).max()))
+            uq = _power(uv, params.q).reshape(-1)
+            vf = v.values.reshape(-1)
+            for (F, Fp, Fm), h in zip(_flux_faces(grid), grid.spacing):
+                st = F.st
+                dv = F.diff(vf[st:], vf[:-st])
+                dv *= 1.0 / h
+                sup_dv = max(sup_dv, float(np.abs(dv, out=Fp.faces).max()))
                 with np.errstate(invalid="ignore"):
-                    Fp = np.maximum(F, 0.0)
-                    Fm = Fp - F  # max(-F, 0), reusing the clipped array
-                    Fp *= 1.0 / h
-                    Fm *= 1.0 / h
-                    out_rate[left] += Fp
-                    out_rate[right] += Fm
-                    in_rate[left] += Fm
-                    in_rate[right] += Fp
+                    # donor-cell flux u_donor^q dv: the donor is the -axis cell
+                    # where dv > 0, so an empty donor carries no flux
+                    np.multiply(np.where(dv > 0.0, uq[:-st], uq[st:]), dv, out=dv)
+                    dv[F.wrap] = 0.0  # an infinite donor times a zero wrap dv
+                    np.maximum(dv, 0.0, out=Fp.faces)
+                    np.subtract(Fp.faces, dv, out=Fm.faces)  # max(-F, 0)
+                    Fp.faces *= 1.0 / h
+                    Fm.faces *= 1.0 / h
+                    out_rate += Fp.plus
+                    out_rate += Fm.minus
+                    in_rate += Fm.plus
+                    in_rate += Fp.minus
         rate += in_rate
         rate -= out_rate
 
@@ -583,14 +598,19 @@ class _StepWork:
         if not float(u1.min()) < 0.0:  # nonnegative, or non-finite
             return u1
         grid = self.grid
-        amounts = []
+        wf = w.reshape(-1)
+        faces = []
         outflow = np.zeros(grid.cells)
-        for axis in range(grid.dim):
-            left, right = _slices(grid.dim, axis)
-            A = (w[left] - w[right]) * (dt / grid.spacing[axis] ** 2)
-            outflow[left] += np.maximum(A, 0.0)
-            outflow[right] += np.maximum(-A, 0.0)
-            amounts.append(A)
+        for axis, h in enumerate(grid.spacing):
+            # amounts dt (w_L - w_R)/h^2, out of the -axis and the +axis cell
+            A, out_l, out_r = (_FaceBuffer(grid, axis) for _ in range(3))
+            A.diff(wf[:-A.st], wf[A.st:])
+            A.faces *= dt / h ** 2
+            np.maximum(A.faces, 0.0, out=out_l.faces)
+            np.maximum(-A.faces, 0.0, out=out_r.faces)
+            outflow += out_l.plus
+            outflow += out_r.minus
+            faces.append((A.faces, A.st, out_l, out_r))
         with np.errstate(divide="ignore", invalid="ignore"):
             cap = np.where(outflow > 0.0, np.clip(0.5 * r / outflow, 0.0, 1.0), 1.0)
         limited = np.zeros(grid.cells, dtype=bool)
@@ -599,17 +619,17 @@ class _StepWork:
             if not newly.any():
                 return u1
             limited |= newly
-            theta = np.where(limited, cap, 1.0)
+            theta = np.where(limited, cap, 1.0).reshape(-1)
             u1 = r.copy()
             inflow = np.zeros(grid.cells)
-            for axis, A in enumerate(amounts):
-                left, right = _slices(grid.dim, axis)
-                moved = A * np.where(A > 0.0, theta[left], theta[right])
-                out_l, out_r = np.maximum(moved, 0.0), np.maximum(-moved, 0.0)
-                u1[left] -= out_l
-                u1[right] -= out_r
-                inflow[left] += out_r
-                inflow[right] += out_l
+            for A, st, out_l, out_r in faces:
+                moved = A * np.where(A > 0.0, theta[:-st], theta[st:])
+                np.maximum(moved, 0.0, out=out_l.faces)
+                np.maximum(-moved, 0.0, out=out_r.faces)
+                u1 -= out_l.plus
+                u1 -= out_r.minus
+                inflow += out_r.plus
+                inflow += out_l.minus
             u1 += inflow
 
     def diffusion_update(self, r: np.ndarray, dt: float, ctrl: StepControl

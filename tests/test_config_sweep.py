@@ -424,6 +424,14 @@ def _metadata_without_s_used(out_dir):
     (out_dir / METADATA_JSON).write_text(json.dumps(meta))
 
 
+def _metadata_with(key, value):
+    def damage(out_dir):
+        meta = json.loads((out_dir / METADATA_JSON).read_text())
+        meta[key] = value
+        (out_dir / METADATA_JSON).write_text(json.dumps(meta))
+    return damage
+
+
 class TestCli:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
@@ -544,6 +552,36 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"invalid option: --tuples must be >= 1, got {tuples}\n"
 
+    def test_kernels_out_in_missing_dir_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "k.json"
+        assert cli_main(["kernels", "--tuples", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot write output: FileNotFoundError: ")
+        assert captured.err.count("\n") == 1
+        assert not out.parent.exists()
+
+    def test_run_out_existing_file_exits_1(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
+        out = tmp_path / "a-file"
+        out.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", cfg_path, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: FileExistsError: ")
+        assert err.count("\n") == 1
+
+    def test_sweep_out_existing_file_exits_1(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, small_sweep_doc())
+        out = tmp_path / "a-file"
+        out.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", cfg_path, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: FileExistsError: ")
+        assert err.count("\n") == 1
+
     def test_kernels_negative_seed_exit_1(self, capsys):
         assert cli_main(["kernels", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
@@ -609,12 +647,27 @@ class TestCli:
         rebuilt, original = self.rebuild_run_ladder(tmp_path, add_retired_keys)
         assert rebuilt == original
 
+    def test_ladder_out_in_missing_dir_exits_1(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert cli_main(["ladder", str(out_dir), "--K", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: FileNotFoundError: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("damage,error", [
         (_metadata_not_json, "JSONDecodeError: "),
         (lambda out_dir: (out_dir / SERIES_TIMES_NPY).unlink(), "FileNotFoundError: "),
         (lambda out_dir: (out_dir / SERIES_FIELDS_NPY).unlink(), "FileNotFoundError: "),
         (_metadata_without_s_used, "KeyError: 's_used'"),
-    ], ids=["metadata-not-json", "series-t-missing", "series-u-missing", "s-used-missing"])
+        (_metadata_with("s_used", "x"), "ValueError: s_used: expected a finite number, got 'x'"),
+        (_metadata_with("N_used", 2.5), "ValueError: N_used: expected an integer, got 2.5"),
+        (_metadata_with("N_used", 1), "ValueError: N must be >= 2, got 1"),
+    ], ids=["metadata-not-json", "series-t-missing", "series-u-missing", "s-used-missing",
+            "s-used-string", "n-used-float", "n-used-below-2"])
     def test_ladder_unreadable_run_exits_1(self, tmp_path, capsys, damage, error):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
         out_dir = tmp_path / "out"

@@ -9,8 +9,8 @@ from ksfv.grid import Field, GridSpec, constant_field, integrate, lp_norm
 from ksfv.model import CRITICAL_MASS_2D, InitialData, ModelParams, make_initial_data
 from ksfv.solver import (DT_COLLAPSED, MAX_STEPS, NONFINITE, REACHED_T,
                          SUP_THRESHOLD, SimState, StepControl, _cg, _Laplacian,
-                         _Potential, _ShiftedLaplaceInverse, _StepWork,
-                         _chemotactic_flux, _power, advance_v, run, step)
+                         _Potential, _ShiftedLaplaceInverse, _StepWork, _power,
+                         advance_v, run, step)
 
 
 def grid1d(n=8, L=1.0):
@@ -27,17 +27,18 @@ def state_from(u_vals, v_vals, grid):
 
 def diffusive_flux(u, params, axis):
     """-(w_R - w_L)/h on the interior faces along `axis`, w = (u+sigma)^m:
-    the potential the step diffuses, differenced by the step's Laplacian."""
+    the potential the step diffuses, differenced by the step's Laplacian and
+    read from the interior-face view of its face buffer."""
     lap = _Laplacian(u.grid)
     lap(_Potential(params).w(u.values), np.empty(u.grid.cells))
-    return -lap.diffs[axis] * u.grid.spacing[axis]
+    return -lap.diffs[axis].interior * u.grid.spacing[axis]
 
 
 def chemotactic_flux(u, v, params, axis):
-    """The step's donor-cell face flux along `axis`, interior faces only."""
-    uq = _power(u.values, params.q)
-    flux, _ = _chemotactic_flux(uq, v.values, axis, u.grid.spacing[axis])
-    return flux
+    """The step's donor-cell face flux along `axis`, interior faces only:
+    the face buffer _StepWork assembles it in, read right after."""
+    _StepWork(u, v, params)
+    return solver._flux_faces(u.grid)[axis][0].interior.copy()
 
 
 class TestDiffusiveFlux:
@@ -247,6 +248,189 @@ class TestFluxUpdate:
         assert u1.min() >= 0.0
         assert u1.sum() == pytest.approx(r.sum(), rel=1e-15)
         assert u1[1] == pytest.approx(0.5e-12, rel=1e-12)
+
+
+# The flat face layout's hazards, on a 1-D grid and on 2-D grids with one,
+# a few and many rows of each length.
+LAYOUT_GRIDS = [
+    pytest.param(GridSpec(dim=1, cells=(200,), extent=(1.0,)), id="1d-200"),
+    pytest.param(GridSpec(dim=2, cells=(3, 3), extent=(1.0, 1.0)), id="3x3"),
+    pytest.param(GridSpec(dim=2, cells=(128, 48), extent=(1.0, 3.0)), id="128x48"),
+    pytest.param(GridSpec(dim=2, cells=(128, 128), extent=(1.0, 1.0)), id="128x128"),
+]
+
+
+def axis_slices(dim, axis):
+    left = tuple(slice(0, -1) if k == axis else slice(None) for k in range(dim))
+    right = tuple(slice(1, None) if k == axis else slice(None) for k in range(dim))
+    return left, right
+
+
+def slice_laplacian(x, grid):
+    """The Laplacian in the per-axis slice formulation, as an oracle: each
+    axis term is (right face - left face) over the interior faces, and the
+    terms are summed in axis order."""
+    for axis, h in enumerate(grid.spacing):
+        left, right = axis_slices(grid.dim, axis)
+        g = (x[right] - x[left]) * (1.0 / h ** 2)
+        term = np.zeros(grid.cells)
+        term[left] = g
+        term[right] -= g
+        out = term if axis == 0 else out + term
+    return out
+
+
+def slice_rates(u, v, grid, q):
+    """The chemotactic outflow and inflow rates and sup |dv| in the per-axis
+    slice formulation, as an oracle."""
+    out_rate, in_rate, sup_dv = np.zeros(grid.cells), np.zeros(grid.cells), 0.0
+    uq = _power(u, q)
+    for axis, h in enumerate(grid.spacing):
+        left, right = axis_slices(grid.dim, axis)
+        dv = (v[right] - v[left]) * (1.0 / h)
+        sup_dv = max(sup_dv, float(np.abs(dv).max()))
+        F = np.where(dv > 0.0, uq[left], uq[right]) * dv
+        Fp = np.maximum(F, 0.0)
+        Fm = Fp - F
+        Fp *= 1.0 / h
+        Fm *= 1.0 / h
+        out_rate[left] += Fp
+        out_rate[right] += Fm
+        in_rate[left] += Fm
+        in_rate[right] += Fp
+    return out_rate, in_rate, sup_dv
+
+
+def slice_limiter(r, w, lw, dt, grid):
+    """_StepWork.flux_update in the per-axis slice formulation, as an
+    oracle."""
+    u1 = r + dt * lw
+    amounts, outflow = [], np.zeros(grid.cells)
+    for axis, h in enumerate(grid.spacing):
+        left, right = axis_slices(grid.dim, axis)
+        A = (w[left] - w[right]) * (dt / h ** 2)
+        outflow[left] += np.maximum(A, 0.0)
+        outflow[right] += np.maximum(-A, 0.0)
+        amounts.append(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = np.where(outflow > 0.0, np.clip(0.5 * r / outflow, 0.0, 1.0), 1.0)
+    limited = np.zeros(grid.cells, dtype=bool)
+    while True:
+        newly = (u1 < 0.0) & ~limited
+        if not newly.any():
+            return u1
+        limited |= newly
+        theta = np.where(limited, cap, 1.0)
+        u1, inflow = r.copy(), np.zeros(grid.cells)
+        for axis, A in enumerate(amounts):
+            left, right = axis_slices(grid.dim, axis)
+            moved = A * np.where(A > 0.0, theta[left], theta[right])
+            out_l, out_r = np.maximum(moved, 0.0), np.maximum(-moved, 0.0)
+            u1[left] -= out_l
+            u1[right] -= out_r
+            inflow[left] += out_r
+            inflow[right] += out_l
+        u1 += inflow
+
+
+def layout_data(grid, kind, seed=0):
+    """u >= 0 and v on the grid: uniform random, or with inf and nan
+    sprinkled into both, or with empty cells and ties in v."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0, 2, grid.cells), rng.uniform(0, 2, grid.cells)
+    if kind == "nonfinite":
+        for x, values in ((u, (np.inf, np.nan)), (v, (np.inf, -np.inf, np.nan))):
+            for value in values:
+                x.flat[rng.integers(0, x.size, 3)] = value
+    elif kind == "ties":
+        u[rng.uniform(size=grid.cells) < 0.5] = 0.0
+        v = np.round(v)
+    return u, v
+
+
+def step_rates(u, v, grid, q):
+    work = _StepWork(Field(grid, u, allow_nonfinite=True),
+                     Field(grid, v, allow_nonfinite=True), ModelParams(m=2.0, q=q, sigma=0.01))
+    return work.out_rate, work.in_rate, work.sup_grad_v
+
+
+class TestFaceLayout:
+    @pytest.mark.parametrize("kind", ["random", "nonfinite", "ties"])
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    def test_kernels_match_slice_oracle_bit_for_bit(self, grid, kind):
+        u, v = layout_data(grid, kind)
+        with np.errstate(all="ignore"):
+            for x in (u, v):
+                lx = _Laplacian(grid)(x, np.empty(grid.cells))
+                assert lx.tobytes() == slice_laplacian(x, grid).tobytes()
+            for q in (1.0, 0.5, 2.0):
+                out_rate, in_rate, sup_dv = step_rates(u, v, grid, q)
+                ref_out, ref_in, ref_sup = slice_rates(u, v, grid, q)
+                assert out_rate.tobytes() == ref_out.tobytes()
+                assert in_rate.tobytes() == ref_in.tobytes()
+                assert repr(sup_dv) == repr(ref_sup)
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    def test_limiter_matches_slice_oracle_bit_for_bit(self, grid):
+        # a potential far off any solve drives many cells of r + dt lap_h w
+        # negative, so flux_update runs its limiter passes
+        rng = np.random.default_rng(1)
+        r, w = rng.uniform(0, 1e-3, grid.cells), rng.uniform(0, 1, grid.cells)
+        work = _StepWork(Field(grid, r), Field(grid, np.zeros(grid.cells)), ModelParams(m=1.0, q=1.0))
+        lw = _Laplacian(grid)(w, np.empty(grid.cells))
+        for dt in (1e-3, 1e-1):
+            assert float((r + dt * lw).min()) < 0.0
+            u1 = work.flux_update(r, w, lw, dt)
+            assert u1.tobytes() == slice_limiter(r, w, lw, dt, grid).tobytes()
+            assert u1.min() >= 0.0
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    def test_row_end_jump_moves_nothing(self, grid):
+        # data constant along the last axis, jumping by 1e6 from each row to
+        # the next: the row-end pairs (i, n1-1), (i+1, 0) differ, but no
+        # face joins them, so nothing moves along the last axis
+        rows = 1e6 * (np.arange(grid.cells[0]) % 2)
+        u = np.broadcast_to(rows[:, None] if grid.dim == 2 else 1.0, grid.cells).copy()
+        v = 3.0 * u
+        lap = _Laplacian(grid)
+        lu = lap(u, np.empty(grid.cells))
+        out_rate, in_rate, _ = step_rates(u, v, grid, 1.0)
+        assert not lap.diffs[-1].faces.any()
+        assert not solver._flux_faces(grid)[-1][0].faces.any()
+        assert lu.tobytes() == slice_laplacian(u, grid).tobytes()
+        ref_out, ref_in, _ = slice_rates(u, v, grid, 1.0)
+        assert out_rate.tobytes() == ref_out.tobytes()
+        assert in_rate.tobytes() == ref_in.tobytes()
+
+    @pytest.mark.parametrize("column", [-1, 0])
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    def test_inf_does_not_cross_row_end(self, grid, column):
+        # an inf in the last column (or the first) leaves the first column
+        # (or the last) exactly as it was: no wrap face carries it there
+        u, v = layout_data(grid, "random")
+        far = 0 if column == -1 else -1
+        clean_lap = _Laplacian(grid)(u, np.empty(grid.cells))
+        clean = step_rates(u, v, grid, 0.5)[:2]
+        u[..., column] = np.inf
+        v[..., column] = np.inf
+        with np.errstate(all="ignore"):
+            lu = _Laplacian(grid)(u, np.empty(grid.cells))
+            rates = step_rates(u, v, grid, 0.5)[:2]
+        assert lu[..., far].tobytes() == clean_lap[..., far].tobytes()
+        for rate, clean_rate in zip(rates, clean):
+            assert np.isfinite(rate[..., far]).all()
+            assert rate[..., far].tobytes() == clean_rate[..., far].tobytes()
+
+    @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+    def test_laplacian_mirror_symmetric_bit_for_bit(self, grid):
+        # input symmetric under each axis flip gives output symmetric under
+        # it, bit for bit, also on a non-square grid
+        x = layout_data(grid, "random")[0]
+        for axis in range(grid.dim):
+            x = x + np.flip(x, axis)
+        lx = _Laplacian(grid)(x, np.empty(grid.cells))
+        for axis in range(grid.dim):
+            assert lx.tobytes() == np.flip(lx, axis).tobytes()
 
 
 def neumann_laplacian_2d(n):
