@@ -60,6 +60,8 @@ def _read_text(path: str) -> str:
     except FileNotFoundError:
         print(f"config file not found: {path}", file=sys.stderr)
         raise SystemExit(1)
+    except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable, not UTF-8
+        raise SystemExit(_error(f"config file {path} cannot be read", e))
 
 
 def _invalid_option(message: str) -> int:

@@ -82,6 +82,14 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, grid: GridSpec, values: np.ndarray) -> Field:
+        """A step result the solver hands over, frozen in place: no copy, no checks."""
+        values.setflags(write=False)
+        f = object.__new__(cls)
+        f.__dict__.update(grid=grid, values=values, allow_nonfinite=True)
+        return f
+
     def min(self) -> float:
         return float(self.values.min())
 

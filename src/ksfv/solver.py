@@ -44,11 +44,10 @@ most 16^2 cells, and any other grid keeps one level, on which the V-cycle
 is that scaled cosine inverse.  Measured with one BLAS thread: at 128^2
 (the bounded-side legs of the benchmark, m = 2 and 1.5) the V-cycle takes
 1.8 and 2.1 CG iterations per correction, against 11.4 and 6.6 for the
-scaled cosine inverse alone, and the two runs take 3.8 s instead of 8.1 s
-on a 2-core machine; a two-grid cycle (coarsest 64^2) takes 3.3 and 2.9.
-At 64^2 a V-cycle application costs about four cosine-inverse iterations,
-so the 64^2 sweep points gain nothing and (0.75, 0.5) ran slower (0.71 s
-against 0.38-0.47 s), which is why such grids keep one level.
+scaled cosine inverse alone, and a two-grid cycle (coarsest 64^2) 3.3 and
+2.9.  At 64^2 a V-cycle application costs about four cosine-inverse
+iterations, so the 64^2 sweep points gain nothing and (0.75, 0.5) ran
+slower, which is why such grids keep one level.
 
 The v-solve and the diffusion solve stop at the residual 2-norm
 v_solve_tol * (1 + |rhs|); the CG solve of each m != 1 Newton correction
@@ -62,6 +61,15 @@ outflow bound min_i u_i / out_rate_i keeps each cell's outgoing chemotactic
 flux * dt within safety times its content (see _StepWork.dt_advection), and
 the accuracy bound lets one step change sup u by at most the fraction
 safety / (2 dim) at the pre-step rate.
+
+Every grid-sized array a step writes and then discards lives in its grid's
+workspace (_Workspace: one per grid and thread, built at the grid's first
+step there) and is written in place (out=), so a step allocates only the
+two arrays of the next state.  A workspace array stays valid until the next
+step on that grid in that thread.  States never point into a workspace and
+threads never share one, so concurrent runs stay independent.  At 128^2 an
+array is 128 KiB, glibc's mmap threshold, so a freed temporary would go back
+to the kernel and fault in again at its next allocation.
 """
 
 from __future__ import annotations
@@ -69,7 +77,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,14 +140,14 @@ class StepOutcome:
     sup_grad_v: float = math.nan
 
 
-def _power(x: np.ndarray, e: float) -> np.ndarray:
-    """x**e with the hot small-integer exponents special-cased."""
+def _power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x**e into `out` if given (x itself at e = 1; numpy's x ** 0.5 is sqrt)."""
     if e == 1.0:
         return x
     if e == 2.0:
-        return x * x
+        return np.multiply(x, x, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
-        return x ** e
+        return np.sqrt(x, out=out) if e == 0.5 else np.power(x, e, out=out)
 
 
 class _FaceBuffer:
@@ -195,56 +204,77 @@ class _Laplacian:
         return out
 
 
-def _per_thread(build):
-    """Cache build(grid) once per grid in each thread: what it builds holds
-    scratch arrays, which two threads must not share."""
-    local = threading.local()
+class _Workspace:
+    """The arrays a step on the grid writes and discards (see the module
+    docstring); _workspace keeps one per grid and thread."""
 
-    def cached(grid):
-        cache = local.__dict__.setdefault("cache", {})
-        if grid not in cache:
-            cache[grid] = build(grid)
-        return cache[grid]
-    return cached
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.lap = _Laplacian(grid)
+        # _StepWork's chemotactic flux and its two parts per axis
+        self.flux = [[_FaceBuffer(grid, axis) for _ in range(3)] for axis in range(grid.dim)]
+        (self.rate, self.out_rate, self.in_rate, self.uq, self.r, self.w, self.lw, self.res,
+         self.tmp, self.rhs, self.d) = (np.empty(grid.cells) for _ in range(11))
+        self.inverse = tuple(np.empty(grid.cells) for _ in range(3))
+        self.cg = tuple(np.empty(grid.cells) for _ in range(5))
+        self.mask = np.empty(grid.cells, dtype=bool)
+
+    @cached_property
+    def levels(self) -> list:
+        """The V-cycle's levels, finest first (see _MG_MIN_CELLS), built at the
+        first m != 1 step: each a grid, its Laplacian and arrays for a cycle's
+        r and x, d, the smoother weights, scratch and restriction pairs."""
+        grids = [self.grid]
+        if self.grid.dim == 2 and self.grid.num_cells > _MG_MIN_CELLS:
+            # a GridSpec needs at least 3 cells per axis
+            while (grids[-1].num_cells > _MG_MIN_CELLS // 16
+                   and all(n % 2 == 0 and n >= 6 for n in grids[-1].cells)):
+                grids.append(GridSpec(dim=2, cells=tuple(n // 2 for n in grids[-1].cells),
+                                      extent=self.grid.extent))
+        return [SimpleNamespace(grid=g, lap=self.lap if g is self.grid else _Laplacian(g),
+                                pairs=np.empty(2 * g.num_cells),
+                                **{k: np.empty(g.cells) for k in ("r", "x", "d", "weights",
+                                                                  "res", "tmp")})
+                for g in grids]
 
 
-@_per_thread
-def _laplacian(grid: GridSpec) -> _Laplacian:
-    """The grid's Laplacian, built once per thread; calls must not nest."""
-    return _Laplacian(grid)
+_local = threading.local()
 
 
-@_per_thread
-def _flux_faces(grid: GridSpec) -> list:
-    """_StepWork's chemotactic flux and its two parts per axis, per thread."""
-    return [[_FaceBuffer(grid, axis) for _ in range(3)] for axis in range(grid.dim)]
+def _workspace(grid: GridSpec) -> _Workspace:
+    """The grid's workspace in this thread: threads never share one."""
+    spaces = _local.__dict__.setdefault("spaces", {})
+    if grid not in spaces:
+        spaces[grid] = _Workspace(grid)
+    return spaces[grid]
 
 
 def _cg(apply_A, rhs: np.ndarray, tol: float, max_iters: int,
-        precond) -> tuple[np.ndarray, int]:
+        precond, vecs) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients for an SPD operator, from zero.
 
-    Stops once the residual 2-norm is at most tol.  precond(r) applies a
-    symmetric positive semidefinite approximate inverse; unknowns it maps
-    to zero stay zero (apply_A must then return zero in those rows).  A
-    non-finite residual ends the iteration at once: the caller's finiteness
-    probe reports it.  Returns the solution and the iteration count.
+    Stops once the residual 2-norm is at most tol.  precond(r, out) writes a
+    symmetric positive semidefinite approximate inverse applied to r into
+    out; unknowns it maps to zero stay zero (apply_A must then return zero
+    in those rows).  A non-finite residual ends the iteration at once: the
+    caller's finiteness probe reports it.  `vecs` holds the five vectors
+    x, r, z, p, Ap.  Returns the solution (vecs[0]) and the iteration count.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+    x, r, z, p, Ap = vecs
+    x.fill(0.0)
+    np.copyto(r, rhs)
     rr = float(np.vdot(r, r))
     iters = 0
     if not math.sqrt(rr) > tol:  # converged, or nan
         return x, iters
-    z = precond(r)
+    precond(r, z)
     rz = float(np.vdot(r, z))
-    p = z.copy()
-    Ap = np.empty_like(x)
+    np.copyto(p, z)
     while True:
         apply_A(p, Ap)
         alpha = rz / float(np.vdot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=z)  # z is free until the next precond
+        r -= np.multiply(Ap, alpha, out=z)
         rr = float(np.vdot(r, r))
         iters += 1
         if not math.sqrt(rr) > tol:
@@ -253,7 +283,7 @@ def _cg(apply_A, rhs: np.ndarray, tol: float, max_iters: int,
             raise RuntimeError(
                 f"conjugate gradients failed to converge in {iters} iterations; "
                 f"residual {math.sqrt(rr):.3e}, tolerance {tol:.3e}")
-        z = precond(r)
+        precond(r, z)
         rz_new = float(np.vdot(r, z))
         p *= rz_new / rz
         p += z
@@ -283,22 +313,29 @@ def _sin2(n: int) -> np.ndarray:
 
 class _ShiftedLaplaceInverse:
     """Exact inverse of (a - dt lap_h) for a constant a, by the cosine
-    basis that diagonalises the Neumann Laplacian."""
+    basis that diagonalises the Neumann Laplacian.  `bufs` holds three grid
+    arrays, for its inverse eigenvalues and two intermediate products."""
 
-    def __init__(self, grid, a: float, dt: float):
+    def __init__(self, grid, a: float, dt: float, bufs):
         self.C = [_cosine_basis(n) for n in grid.cells]
         lam = [(4.0 * dt / h ** 2) * _sin2(n) for n, h in zip(grid.cells, grid.spacing)]
+        self.inv_denom, *self.prods = bufs
         denom = a + lam[0]
         if len(lam) == 2:
-            denom = np.add.outer(denom, lam[1])
-        self.inv_denom = np.divide(1.0, denom, out=denom)
+            denom = np.add(denom[:, None], lam[1], out=self.inv_denom)
+        np.divide(1.0, denom, out=self.inv_denom)
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        p, q = self.prods
         if len(self.C) == 1:
             C = self.C[0]
-            return C @ ((C.T @ r) * self.inv_denom)
+            np.matmul(C.T, r, out=p)
+            p *= self.inv_denom
+            return np.matmul(C, p, out=out)
         C0, C1 = self.C
-        return C0 @ (((C0.T @ r @ C1) * self.inv_denom) @ C1.T)
+        np.matmul(np.matmul(C0.T, r, out=p), C1, out=q)
+        q *= self.inv_denom
+        return np.matmul(C0, np.matmul(q, C1.T, out=p), out=out)
 
 
 # The cap on the Newton corrections of the diffusion solve and on the
@@ -308,7 +345,7 @@ _MAX_CORRECTIONS = 30
 _MAX_CG_ITERS = 20000
 
 
-def _solve_shifted(grid: GridSpec, a: float, dt: float, rhs: np.ndarray, x: np.ndarray,
+def _solve_shifted(ws: _Workspace, a: float, dt: float, rhs: np.ndarray, x: np.ndarray,
                    tol: float, floor: float | None):
     """Solve (a - dt lap_h) x = rhs for a constant a > 0, in place from x.
 
@@ -317,40 +354,42 @@ def _solve_shifted(grid: GridSpec, a: float, dt: float, rhs: np.ndarray, x: np.n
     by the exact inverse (_ShiftedLaplaceInverse) of the residual and raise
     it to `floor`, if given.  One unchecked correction can leave the
     residual several times tol at dt >= 1; a second meets it.  Returns x,
-    lap_h x as the accepting test computed it and the number of
+    lap_h x as the accepting test computed it (in ws.lw) and the number of
     corrections, or None, None, _MAX_CORRECTIONS.
     """
-    lap = _laplacian(grid)
-    inverse = _ShiftedLaplaceInverse(grid, a, dt)
-    lx, res, dt_lx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    lx, res = ws.lw, ws.res
+    inverse = _ShiftedLaplaceInverse(ws.grid, a, dt, ws.inverse)
     for k in range(_MAX_CORRECTIONS):
-        lap(x, lx)
+        ws.lap(x, lx)
         np.multiply(x, a, out=res)  # res = a x - rhs - dt lx, without temporaries
         res -= rhs
-        res -= np.multiply(lx, dt, out=dt_lx)
+        res -= np.multiply(lx, dt, out=ws.tmp)
         if not float(np.linalg.norm(res)) > tol:  # converged, or non-finite
             return x, lx, k
-        x -= inverse(res)
+        x -= inverse(res, out=res)
         if floor is not None:
             np.maximum(x, floor, out=x)
     return None, None, _MAX_CORRECTIONS
 
 
-def _scaled_inverse(grid: GridSpec, d: np.ndarray, dt: float, active=None):
-    """S (alpha - dt beta lap_h)^(-1) S for diag(d) - dt lap_h, with
-    S = diag(J)^(-1/2), J = d + dt lap_h.diag, and alpha, beta the mean
+def _scaled_inverse(level: SimpleNamespace, d: np.ndarray, dt: float, active=None):
+    """S (alpha - dt beta lap_h)^(-1) S for diag(d) - dt lap_h on the level,
+    with S = diag(J)^(-1/2), J = d + dt lap_h.diag, and alpha, beta the mean
     entries of S diag(d) S and S^2 over the active cells: exact when d is
     uniform, Jacobi-like where it varies.  Cells outside the `active` mask
-    (None: every cell) map to zero."""
-    inv_diag = 1.0 / (d + dt * _laplacian(grid).diag)
+    (None: every cell) map to zero.  Applied as f(x, out); the level's own
+    arrays are its scratch, as a coarsest level does not smooth."""
+    grid, tmp = level.grid, level.weights
+    inv_diag = np.divide(1.0, np.add(d, dt * level.lap.diag, out=tmp))
     n_active = grid.num_cells
     if active is not None:
         inv_diag *= active
         n_active = max(int(active.sum()), 1)
-    shifted = _ShiftedLaplaceInverse(grid, float((d * inv_diag).sum()) / n_active,
-                                     dt * float(inv_diag.sum()) / n_active)
-    scale = np.sqrt(inv_diag)
-    return lambda x: scale * shifted(scale * x)
+    shifted = _ShiftedLaplaceInverse(grid, float(np.multiply(d, inv_diag, out=tmp).sum())
+                                     / n_active, dt * float(inv_diag.sum()) / n_active,
+                                     (np.empty(grid.cells), level.res, level.tmp))
+    scale = np.sqrt(inv_diag, out=inv_diag)
+    return lambda x, out: np.multiply(scale, shifted(np.multiply(scale, x, out=tmp), out), out=out)
 
 
 # The V-cycle's depth: a grid of more than _MG_MIN_CELLS cells is halved
@@ -362,30 +401,15 @@ _MG_OMEGA = 0.8     # damped-Jacobi weight
 _MG_SWEEPS = 2      # Jacobi sweeps before and after each coarse correction
 
 
-def _restrict(x: np.ndarray) -> np.ndarray:
-    """Mean of each coarse cell's 2x2 children, summed in pairs along the
-    last axis and then the first, so mirror images round alike."""
+def _restrict(x: np.ndarray, out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Mean of each coarse cell's 2x2 children into `out`, summed in pairs (in
+    `pairs`) along the last axis and then the first, so mirror images round alike."""
     n0, n1 = x.shape
     x4 = x.reshape(n0 // 2, 2, n1 // 2, 2)
-    pairs = x4[:, :, :, 0] + x4[:, :, :, 1]
-    out = pairs[:, 0] + pairs[:, 1]
+    pairs = np.add(x4[:, :, :, 0], x4[:, :, :, 1], out=pairs.reshape(n0 // 2, 2, n1 // 2))
+    np.add(pairs[:, 0], pairs[:, 1], out=out)
     out *= 0.25
     return out
-
-
-@_per_thread
-def _levels(grid: GridSpec) -> tuple:
-    """The V-cycle's levels, finest first: each level's grid (all with the
-    same extent), its Laplacian and two scratch arrays, built once per
-    thread."""
-    grids = [grid]
-    if grid.dim == 2 and grid.num_cells > _MG_MIN_CELLS:
-        # a GridSpec needs at least 3 cells per axis
-        while (grids[-1].num_cells > _MG_MIN_CELLS // 16
-               and all(n % 2 == 0 and n >= 6 for n in grids[-1].cells)):
-            grids.append(GridSpec(dim=2, cells=tuple(n // 2 for n in grids[-1].cells),
-                                  extent=grid.extent))
-    return tuple((g, _laplacian(g), np.empty(g.cells), np.empty(g.cells)) for g in grids)
 
 
 class _NewtonPreconditioner:
@@ -393,59 +417,59 @@ class _NewtonPreconditioner:
     of an m != 1 Newton correction; cells outside the `active` mask (None:
     every cell) map to zero, as _cg requires of pinned cells.
 
-    Each level halves every axis of the one above (_levels); its d is the
-    mean of the children's, its operator the rediscretised Laplacian.  A
-    level smooths with _MG_SWEEPS damped-Jacobi sweeps (weight _MG_OMEGA,
-    diagonal d + dt lap_h.diag) before and after the correction from the
-    level below; residuals are restricted by the mean of the children and
-    corrections prolonged by copying into them.  The coarsest level applies
-    _scaled_inverse with no smoothing, so a grid that does not coarsen gets
-    exactly that.  Restriction is a multiple of the transposed
+    Each level halves every axis of the one above (_Workspace.levels); its
+    d is the mean of the children's, its operator the rediscretised
+    Laplacian.  A level smooths with _MG_SWEEPS damped-Jacobi sweeps (weight
+    _MG_OMEGA, diagonal d + dt lap_h.diag) before and after the correction
+    from the level below; residuals are restricted by the mean of the
+    children and corrections prolonged by copying into them.  The coarsest
+    level applies _scaled_inverse with no smoothing, so a grid that does not
+    coarsen gets exactly that.  Restriction is a multiple of the transposed
     prolongation and the sweeps match on both sides, so the cycle is a
-    symmetric positive definite operator.  Only the d-dependent pieces are
-    built here; the levels are cached per grid and thread, so two instances
-    on one grid must not be applied at once in one thread.
+    symmetric positive definite operator.  It reads the caller's d and keeps
+    the rest in workspace arrays: valid until the next one on the grid.
     """
 
     def __init__(self, grid: GridSpec, d: np.ndarray, dt: float, active=None):
-        levels = _levels(grid)
-        ds = [d]
-        for _ in levels[1:]:
-            ds.append(_restrict(ds[-1]))
-        self.dt, self.active = dt, active
-        self.smooth = [(lap, dk, _MG_OMEGA / (dk + dt * lap.diag), res, tmp)
-                       for (_, lap, res, tmp), dk in zip(levels[:-1], ds)]
-        self.coarse = _scaled_inverse(levels[-1][0], ds[-1], dt,
+        self.levels = levels = _workspace(grid).levels
+        self.dt, self.active, self.ds, self.weights = dt, active, [d], []
+        for fine, coarse in zip(levels, levels[1:]):
+            diag = np.add(self.ds[-1], dt * fine.lap.diag, out=fine.weights)
+            self.weights.append(np.divide(_MG_OMEGA, diag, out=diag))
+            self.ds.append(_restrict(self.ds[-1], coarse.d, coarse.pairs))
+        self.coarse = _scaled_inverse(levels[-1], self.ds[-1], dt,
                                       active if len(levels) == 1 else None)
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(r) if out is None else out
         if self.active is None:
-            return self._cycle(0, r)
-        x = self._cycle(0, r * self.active)
-        x *= self.active
-        return x
+            return self._cycle(0, r, out)
+        self._cycle(0, np.multiply(r, self.active, out=self.levels[0].r), out)
+        out *= self.active
+        return out
 
     def _residual(self, level: int, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """r - J x on the level, in its scratch array."""
-        lap, d, _, res, tmp = self.smooth[level]
-        lap(x, res)
-        res *= self.dt
-        res += r
-        res -= np.multiply(d, x, out=tmp)
-        return res
+        lv = self.levels[level]
+        lv.lap(x, lv.res)
+        lv.res *= self.dt
+        lv.res += r
+        lv.res -= np.multiply(self.ds[level], x, out=lv.tmp)
+        return lv.res
 
     def _sweep(self, level: int, x: np.ndarray, r: np.ndarray) -> None:
         res = self._residual(level, x, r)
-        res *= self.smooth[level][2]
+        res *= self.weights[level]
         x += res
 
-    def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
-        if level == len(self.smooth):
-            return self.coarse(r)
-        x = self.smooth[level][2] * r  # the first sweep, from zero
+    def _cycle(self, level: int, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if level == len(self.weights):
+            return self.coarse(r, x)
+        np.multiply(self.weights[level], r, out=x)  # the first sweep, from zero
         for _ in range(_MG_SWEEPS - 1):
             self._sweep(level, x, r)
-        e = self._cycle(level + 1, _restrict(self._residual(level, x, r)))
+        c = self.levels[level + 1]
+        e = self._cycle(level + 1, _restrict(self._residual(level, x, r), c.r, c.pairs), c.x)
         x.reshape(e.shape[0], 2, e.shape[1], 2)[...] += e[:, None, :, None]
         for _ in range(_MG_SWEEPS):
             self._sweep(level, x, r)
@@ -457,7 +481,8 @@ class _Potential:
 
     For m = 1 the potential is u itself (the constant sigma drops out of
     every difference).  With sigma = 0 and m > 1, du/dw is infinite at
-    vacuum (w = 0): those cells are pinned during the Newton solve.
+    vacuum (w = 0): those cells are pinned during the Newton solve.  Each
+    method writes to `out` when given; at m = 1, w and u return their input.
     """
 
     def __init__(self, params: ModelParams):
@@ -465,16 +490,16 @@ class _Potential:
         self.linear = params.m == 1.0
         self.floor = 0.0 if self.linear else self.sigma ** self.m
 
-    def w(self, u: np.ndarray) -> np.ndarray:
-        return u if self.linear else _power(u + self.sigma, self.m)
+    def w(self, u: np.ndarray, out=None) -> np.ndarray:
+        return u if self.linear else _power(np.add(u, self.sigma, out=out), self.m, out)
 
-    def u(self, w: np.ndarray) -> np.ndarray:
-        return w if self.linear else _power(w, 1.0 / self.m) - self.sigma
+    def u(self, w: np.ndarray, out=None) -> np.ndarray:
+        return w if self.linear else np.subtract(_power(w, 1 / self.m, out), self.sigma, out=out)
 
-    def du_dw(self, w: np.ndarray) -> np.ndarray:
+    def du_dw(self, w: np.ndarray, out=None) -> np.ndarray:
         """d u / d w for m != 1 (the m = 1 solve does not need it)."""
         with np.errstate(divide="ignore"):
-            return _power(w, 1.0 / self.m - 1.0) * (1.0 / self.m)
+            return np.multiply(_power(w, 1.0 / self.m - 1.0, out), 1.0 / self.m, out=out)
 
 
 class _StepWork:
@@ -484,27 +509,29 @@ class _StepWork:
     Face fluxes are kept in the flat face layout, whose boundary and wrap
     faces are 0.0.  The chemotactic bound is each cell's content over its
     outflow rate; the diffusive rate lap_h w(u) enters only the accuracy
-    bound, since diffusion itself is implicit.
+    bound, since diffusion itself is implicit.  The rates and the results of
+    chemotaxis_update and diffusion_update are workspace arrays (self.ws).
     """
 
     def __init__(self, u: Field, v: Field, params: ModelParams):
         grid = u.grid
         uv = u.values
 
-        self.lap = _laplacian(grid)
+        self.ws = ws = _workspace(grid)
+        self.lap = ws.lap
         self.potential = _Potential(params)
-        pot = self.potential.w(uv)
+        pot = self.potential.w(uv, ws.w)  # the diffusion solve's w overwrites it
         self.finite = math.isfinite(float(pot.sum()))
-        rate = self.lap(pot, np.empty(grid.cells))
+        rate = self.lap(pot, ws.rate)
 
-        out_rate = np.zeros(grid.cells)
-        in_rate = np.zeros(grid.cells)
+        out_rate, in_rate = ws.out_rate, ws.in_rate
+        out_rate[...] = in_rate[...] = 0.0
         sup_dv = math.nan
         if params.chemotaxis:
             sup_dv = 0.0
-            uq = _power(uv, params.q).reshape(-1)
-            vf = v.values.reshape(-1)
-            for (F, Fp, Fm), h in zip(_flux_faces(grid), grid.spacing):
+            uq = _power(uv, params.q, ws.uq).reshape(-1)
+            vf, mask = v.values.reshape(-1), ws.mask.reshape(-1)
+            for (F, Fp, Fm), h in zip(ws.flux, grid.spacing):
                 st = F.st
                 dv = F.diff(vf[st:], vf[:-st])
                 dv *= 1.0 / h
@@ -512,7 +539,9 @@ class _StepWork:
                 with np.errstate(invalid="ignore"):
                     # donor-cell flux u_donor^q dv: the donor is the -axis cell
                     # where dv > 0, so an empty donor carries no flux
-                    np.multiply(np.where(dv > 0.0, uq[:-st], uq[st:]), dv, out=dv)
+                    np.copyto(Fm.faces, uq[st:])
+                    np.copyto(Fm.faces, uq[:-st], where=np.greater(dv, 0.0, out=mask[st:]))
+                    np.multiply(Fm.faces, dv, out=dv)
                     dv[F.wrap] = 0.0  # an infinite donor times a zero wrap dv
                     np.maximum(dv, 0.0, out=Fp.faces)
                     np.subtract(Fp.faces, dv, out=Fm.faces)  # max(-F, 0)
@@ -525,12 +554,9 @@ class _StepWork:
         rate += in_rate
         rate -= out_rate
 
-        self.grid = grid
-        self.u = u
-        self.out_rate = out_rate
-        self.in_rate = in_rate
+        self.grid, self.u, self.out_rate, self.in_rate = grid, u, out_rate, in_rate
         self.sup_grad_v = sup_dv
-        self.rate_max = float(np.abs(rate).max()) if self.finite else math.inf
+        self.rate_max = float(np.abs(rate, out=rate).max()) if self.finite else math.inf
 
     def dt_advection(self) -> float:
         """min over emitting cells of u_i / out_rate_i: the largest dt at
@@ -541,10 +567,9 @@ class _StepWork:
         a cell that emits through fewer than 2 dim faces, or through flatter
         ones.
         """
-        emitting = self.out_rate > 0.0
-        if not emitting.any():
-            return math.inf
-        return float((self.u.values[emitting] / self.out_rate[emitting]).min())
+        self.ws.rate.fill(math.inf)  # free once rate_max is taken
+        return float(np.divide(self.u.values, self.out_rate, out=self.ws.rate,
+                               where=np.greater(self.out_rate, 0.0, out=self.ws.mask)).min())
 
     def dt_accuracy(self) -> float:
         """sup u / (2 dim sup |du/dt|), the rate being the full explicit
@@ -576,7 +601,9 @@ class _StepWork:
         safety = 1 every cell keeps at least (1 - safety) u and the clip
         never acts.
         """
-        return np.maximum(self.u.values - dt * self.out_rate, 0.0) + dt * self.in_rate
+        r = np.multiply(self.out_rate, dt, out=self.ws.r)
+        np.maximum(np.subtract(self.u.values, r, out=r), 0.0, out=r)
+        return np.add(r, np.multiply(self.in_rate, dt, out=self.ws.tmp), out=r)
 
     def flux_update(self, r: np.ndarray, w: np.ndarray, lw: np.ndarray,
                     dt: float) -> np.ndarray:
@@ -594,7 +621,7 @@ class _StepWork:
         end.  Mass stays exact because a scaled amount still leaves one cell
         and enters the other.
         """
-        u1 = r + dt * lw
+        u1 = np.add(r, np.multiply(lw, dt, out=self.ws.tmp))
         if not float(u1.min()) < 0.0:  # nonnegative, or non-finite
             return u1
         grid = self.grid
@@ -655,19 +682,20 @@ class _StepWork:
         once that exceeds 0.1, capped at 0.9), so early corrections are not
         solved past what their residual needs.
         """
-        pot, lap = self.potential, self.lap
-        w = pot.w(r).copy()
+        pot, lap, ws = self.potential, self.lap, self.ws
         tol = ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(r)))
         if pot.linear:
-            return _solve_shifted(self.grid, 1.0, dt, r, w, tol, pot.floor) + (0,)
-        lw = np.empty_like(w)
+            np.copyto(ws.w, r)
+            return _solve_shifted(ws, 1.0, dt, r, ws.w, tol, pot.floor) + (0,)
+        w, lw, res, d = pot.w(r, ws.w), ws.lw, ws.res, ws.d
         cg_iters = 0
         eta, prev_norm = 0.5, math.nan
         for k in range(_MAX_CORRECTIONS):
             lap(w, lw)
-            res = pot.u(w) - r - dt * lw
-            d = pot.du_dw(w)
-            active = np.isfinite(d)
+            np.subtract(pot.u(w, res), r, out=res)  # res = u(w) - r - dt lw
+            res -= np.multiply(lw, dt, out=ws.tmp)
+            pot.du_dw(w, d)
+            active = np.isfinite(d, out=ws.mask)
             pinned = not active.all()
             if pinned:
                 d[~active] = 0.0
@@ -686,13 +714,14 @@ class _StepWork:
             def apply_J(x, out):
                 lap(x, out)
                 out *= -dt
-                out += d * x
+                out += np.multiply(d, x, out=ws.tmp)
                 if pinned:
                     out *= active
                 return out
 
-            dw, iters = _cg(apply_J, -res, max(tol, eta * res_norm), _MAX_CG_ITERS,
-                            _NewtonPreconditioner(self.grid, d, dt, active if pinned else None))
+            P = _NewtonPreconditioner(self.grid, d, dt, active if pinned else None)
+            dw, iters = _cg(apply_J, np.negative(res, out=res), max(tol, eta * res_norm),
+                            _MAX_CG_ITERS, P, ws.cg)
             cg_iters += iters
             w += dw
             np.maximum(w, pot.floor, out=w)
@@ -713,17 +742,17 @@ def advance_v(v: Field, u: Field, dt: float, ctrl: StepControl) -> tuple[Field, 
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = v.grid
-    rhs = v.values + dt * u.values
+    ws = _workspace(v.grid)
+    rhs = np.add(v.values, np.multiply(u.values, dt, out=ws.rhs), out=ws.rhs)
     nonneg = float(v.values.min()) >= 0.0 and float(u.values.min()) >= 0.0
     tol = ctrl.v_solve_tol * (1.0 + float(np.linalg.norm(rhs)))
-    x, _, corrections = _solve_shifted(grid, 1.0 + dt, dt, rhs,
+    x, _, corrections = _solve_shifted(ws, 1.0 + dt, dt, rhs,
                                        np.array(v.values, dtype=np.float64), tol,
                                        0.0 if nonneg else None)
     if x is None:
         raise RuntimeError(f"v-solve failed to converge in {corrections} corrections; "
                            f"tolerance {tol:.3e}")
-    return Field(grid, x, allow_nonfinite=True), corrections
+    return Field._adopt(v.grid, x), corrections
 
 
 def step(state: SimState, params: ModelParams, ctrl: StepControl,
@@ -758,7 +787,7 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
             break
         dt *= 0.5
 
-    u_new = Field(state.u.grid, u_vals, allow_nonfinite=True)
+    u_new = Field._adopt(state.u.grid, u_vals)
     v_new, iters = advance_v(state.v, state.u, dt, ctrl)
 
     new_state = SimState(u=u_new, v=v_new, t=t_new, step=state.step + 1)

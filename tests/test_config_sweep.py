@@ -582,6 +582,26 @@ class TestCli:
         assert err.startswith("cannot write output: FileExistsError: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, command, kind):
+        # a directory, or bytes that are not UTF-8, as the config path: one
+        # `config file ...` line and exit 1, before any output is made
+        path = tmp_path / "config"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(bytes(range(128, 256)) * 3)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, str(path), "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        error = "IsADirectoryError" if kind == "directory" else "UnicodeDecodeError"
+        assert err.startswith(f"config file {path} cannot be read: {error}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_kernels_negative_seed_exit_1(self, capsys):
         assert cli_main(["kernels", "--seed", "-1"]) == 1
         captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,7 +39,7 @@ def chemotactic_flux(u, v, params, axis):
     """The step's donor-cell face flux along `axis`, interior faces only:
     the face buffer _StepWork assembles it in, read right after."""
     _StepWork(u, v, params)
-    return solver._flux_faces(u.grid)[axis][0].interior.copy()
+    return solver._workspace(u.grid).flux[axis][0].interior.copy()
 
 
 class TestDiffusiveFlux:
@@ -351,7 +352,7 @@ def layout_data(grid, kind, seed=0):
 def step_rates(u, v, grid, q):
     work = _StepWork(Field(grid, u, allow_nonfinite=True),
                      Field(grid, v, allow_nonfinite=True), ModelParams(m=2.0, q=q, sigma=0.01))
-    return work.out_rate, work.in_rate, work.sup_grad_v
+    return work.out_rate.copy(), work.in_rate.copy(), work.sup_grad_v
 
 
 class TestFaceLayout:
@@ -396,7 +397,7 @@ class TestFaceLayout:
         lu = lap(u, np.empty(grid.cells))
         out_rate, in_rate, _ = step_rates(u, v, grid, 1.0)
         assert not lap.diffs[-1].faces.any()
-        assert not solver._flux_faces(grid)[-1][0].faces.any()
+        assert not solver._workspace(grid).flux[-1][0].faces.any()
         assert lu.tobytes() == slice_laplacian(u, grid).tobytes()
         ref_out, ref_in, _ = slice_rates(u, v, grid, 1.0)
         assert out_rate.tobytes() == ref_out.tobytes()
@@ -522,10 +523,16 @@ def newton_systems(monkeypatch, u_vals, grid, m=2.0, sigma=1e-3, dt=0.01):
         def __init__(self, grid, d, dt, active=None):
             super().__init__(grid, d, dt, active)
             self.d = d.copy()
+            # what it reads from the workspace, which the next correction
+            # overwrites, as it was when CG applied it
+            self.ds = [dk.copy() for dk in self.ds]
+            self.weights = [wk.copy() for wk in self.weights]
+            if active is not None:
+                self.active = active.copy()
 
-    def recording_cg(apply_A, rhs, tol, max_iters, precond):
+    def recording_cg(apply_A, rhs, tol, max_iters, precond, vecs):
         systems.append((precond, rhs.copy(), apply_A))
-        return _cg(apply_A, rhs, tol, max_iters, precond)
+        return _cg(apply_A, rhs, tol, max_iters, precond, vecs)
 
     monkeypatch.setattr(solver, "_NewtonPreconditioner", Recording)
     monkeypatch.setattr(solver, "_cg", recording_cg)
@@ -549,7 +556,7 @@ class TestNewtonPreconditioner:
     @pytest.mark.parametrize("cells", [(128, 128), (128, 64)])
     def test_symmetric_positive_definite(self, monkeypatch, cells):
         g = GridSpec(dim=2, cells=cells, extent=(1.0, 1.0))
-        assert len(solver._levels(g)) == 4  # down to 16^2 and 16x8
+        assert len(solver._workspace(g).levels) == 4  # down to 16^2 and 16x8
         rng = np.random.default_rng(1)
         for P, _, _ in newton_systems(monkeypatch, bump(g, centre=(0.4, 0.55)), g):
             for _ in range(3):
@@ -581,7 +588,7 @@ class TestNewtonPreconditioner:
     def test_one_level_is_the_scaled_cosine_inverse(self, monkeypatch, grid):
         # a grid that does not coarsen gets exactly the cosine-basis
         # preconditioner S (alpha - dt beta lap_h)^(-1) S
-        assert len(solver._levels(grid)) == 1
+        assert len(solver._workspace(grid).levels) == 1
         if grid.dim == 1:
             x = grid.cell_centers(0)
             u = 100.0 * np.exp(-((x - 0.5) ** 2) / (2 * 0.08 ** 2))
@@ -593,7 +600,8 @@ class TestNewtonPreconditioner:
             d, n = P.d, grid.num_cells
             inv_diag = 1.0 / (d + dt * _Laplacian(grid).diag)
             shifted = _ShiftedLaplaceInverse(grid, float((d * inv_diag).sum()) / n,
-                                             dt * float(inv_diag.sum()) / n)
+                                             dt * float(inv_diag.sum()) / n,
+                                             [np.empty(grid.cells) for _ in range(3)])
             scale = np.sqrt(inv_diag)
             for r in (rhs, rng.normal(size=grid.cells)):
                 assert P(r).tobytes() == (scale * shifted(scale * r)).tobytes()
@@ -618,7 +626,97 @@ class TestConjugateGradients:
         g = grid2d(32)
         P, rhs, apply_J = newton_systems(monkeypatch, bump(g), g)[0]
         with pytest.raises(RuntimeError, match="failed to converge in 3 iterations"):
-            _cg(apply_J, rhs, 0.0, 3, P)
+            _cg(apply_J, rhs, 0.0, 3, P, [np.empty_like(rhs) for _ in range(5)])
+
+
+def bump_state(grid, m):
+    """The supercritical bump of the benchmark legs (mass 1.5 * 8 pi,
+    width 0.08, sigma 1e-3) at (m, 1): its state at t = 0 and its params."""
+    init = make_initial_data(grid, "gaussian-bump", mass=1.5 * CRITICAL_MASS_2D, width=0.08)
+    return (SimState(u=init.u0, v=init.v0, t=0.0, step=0),
+            ModelParams(m=m, q=1.0, sigma=1e-3))
+
+
+def state_bytes(state):
+    return state.u.values.tobytes() + state.v.values.tobytes()
+
+
+class TestWorkspace:
+    """The per-thread, per-grid workspace that holds every array a step
+    writes and discards, so that a step allocates only the next state."""
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_warm_step_allocates_at_most_six_grid_arrays(self, m):
+        # tracemalloc's peak above the pre-step level during one step of the
+        # 128^2 bump, after a first step has built the workspace
+        g = grid2d(128)
+        state, params = bump_state(g, m)
+        state = step(state, params, StepControl()).state
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = step(state, params, StepControl())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert outcome.stop is None
+        assert peak <= 6 * g.num_cells * 8
+
+    @pytest.mark.parametrize("second", [(128, 128), (96, 96)], ids=["one-grid", "two-grids"])
+    def test_interleaved_steps_match_uninterrupted_runs(self, second):
+        # an m = 1 and an m = 2 run, stepped in turn in one thread, on one
+        # 128^2 grid or on two multigrid grids: each takes exactly the steps
+        # it takes alone
+        runs = [bump_state(grid2d(128), 1.0),
+                bump_state(GridSpec(dim=2, cells=second, extent=(1.0, 1.0)), 2.0)]
+        ctrl = StepControl()
+
+        def advance(state, params):
+            outcome = step(state, params, ctrl)
+            assert outcome.stop is None
+            return outcome.state
+
+        alone = []
+        for state, params in runs:
+            trail = []
+            for _ in range(4):
+                state = advance(state, params)
+                trail.append(state_bytes(state))
+            alone.append(trail)
+        states = [state for state, _ in runs]
+        for k in range(4):
+            for i, (_, params) in enumerate(runs):
+                states[i] = advance(states[i], params)
+                assert state_bytes(states[i]) == alone[i][k]
+
+    def test_states_are_frozen_and_disjoint(self):
+        # a returned state is read-only, keeps its bytes through the next
+        # step and shares no memory with the state that step returns
+        g = grid2d(128)
+        state, params = bump_state(g, 2.0)
+        first = step(state, params, StepControl()).state
+        kept = state_bytes(first)
+        second = step(first, params, StepControl()).state
+        assert state_bytes(first) == kept
+        for a in (first.u.values, first.v.values, second.u.values, second.v.values):
+            assert not a.flags.writeable
+        for a in (first.u.values, first.v.values):
+            for b in (second.u.values, second.v.values):
+                assert not np.shares_memory(a, b)
+
+    def test_preconditioner_results_do_not_share_memory(self, monkeypatch):
+        # two results of one V-cycle held at once are separate arrays, and
+        # the second application leaves the first result as it was
+        g = grid2d(128)
+        P, rhs, _ = newton_systems(monkeypatch, bump(g), g)[0]
+        first = P(rhs)
+        kept = first.tobytes()
+        second = P(np.random.default_rng(4).normal(size=g.cells))
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept
+        out = np.empty(g.cells)
+        assert P(rhs, out) is out and out.tobytes() == kept
 
 
 SHIFTED_GRIDS = {"1d-200": grid1d(200),
@@ -803,7 +901,7 @@ class TestStep:
         # as above on 128^2, where the m = 2 Newton corrections run the
         # multigrid V-cycle
         g = grid2d(128)
-        assert len(solver._levels(g)) >= 2
+        assert len(solver._workspace(g).levels) >= 2
         xs = g.cell_centers(0)
         u_vals = 10.0 * np.exp(-((xs[:, None] - 0.5) ** 2 + (xs[None, :] - 0.5) ** 2) / 0.02)
         st = state_from(u_vals, np.zeros(g.cells), g)
