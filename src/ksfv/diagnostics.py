@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, face_gradient_sup, grad_square_integral, integrate, lp_norm
-from .grid import second_difference_sup
+from .grid import (Field, face_gradient_sup, grad_square_integral, integrate, lp_norm,
+                   second_difference_sup)
 from .kernels import default_s, exponent_ms_qs, gamma_exponent
 from .model import ModelParams
 from .solver import SimState
@@ -117,8 +117,7 @@ class DiagnosticsTracker:
             self._grad_energy += self._last_grad_sq * dt
 
         u2p = float((u.values ** (2.0 * self.p_fr1)).sum() * u.grid.cell_volume)
-        pow_field = Field(u.grid, u.values ** ((m + s) / 2.0), allow_nonfinite=True)
-        grad_sq = grad_square_integral(pow_field)
+        grad_sq = grad_square_integral(u.grid, u.values ** ((m + s) / 2.0))
         self._last_t = state.t
         self._last_u2p = u2p
         self._last_grad_sq = grad_sq
@@ -213,27 +212,3 @@ def ladder_for_run(times, u_samples, cell_volume, params: ModelParams,
     if K <= 0:
         return None
     return build_ladder(times, u_samples, cell_volume, K, config.ladder_n_max, m_s)
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    monotone: bool
-    exponents: tuple[float | None, ...]   # log(y_{n+1}/y_n); None when undefined
-
-
-def check_decay(ladder: DeGiorgiLadder) -> DecayReport:
-    """Monotonicity of the truncation energies plus empirical decay rates.
-
-    The energies are nonincreasing for any field (higher levels truncate
-    more); the decay exponents are reported as observations only, with no
-    claim attached.
-    """
-    ys = ladder.energies
-    monotone = all(y2 <= y1 for y1, y2 in zip(ys, ys[1:]))
-    exponents: list[float | None] = []
-    for y1, y2 in zip(ys, ys[1:]):
-        if y1 > 0.0 and y2 > 0.0:
-            exponents.append(math.log(y2 / y1))
-        else:
-            exponents.append(None)
-    return DecayReport(monotone=monotone, exponents=tuple(exponents))

@@ -4,12 +4,20 @@ Cell-centered finite-volume convention: a field stores one value per cell
 (cell average), faces sit between cells, and every differential operator is
 written in flux form so that discrete integrals telescope exactly.  All
 boundary faces carry zero flux (homogeneous Neumann closure).
+
+Every face difference runs on one flat face layout (_FaceBuffer): along an
+axis of flat stride st (n1 for axis 0 of an n0 x n1 grid, else 1), the
+faces are the contiguous shift x[st:] - x[:-st] between zero borders of st
+entries, so a cell's divergence is one subtraction, +axis face minus -axis
+face, and no slice strides.  On the last axis of a 2-D grid the shift also
+pairs (i, n1-1) with (i+1, 0); these wrap faces are set to exactly 0.0
+after each difference, so nothing, finite or not, crosses a row end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +78,12 @@ class Field:
 
     grid: GridSpec
     values: np.ndarray
-    allow_nonfinite: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.cells:
             raise ValueError(f"values shape {v.shape} does not match grid cells {self.grid.cells}")
-        if not self.allow_nonfinite and not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         v = v.copy()
         v.setflags(write=False)
@@ -87,7 +94,7 @@ class Field:
         """A step result the solver hands over, frozen in place: no copy, no checks."""
         values.setflags(write=False)
         f = object.__new__(cls)
-        f.__dict__.update(grid=grid, values=values, allow_nonfinite=True)
+        f.__dict__.update(grid=grid, values=values)
         return f
 
     def min(self) -> float:
@@ -99,25 +106,6 @@ class Field:
 
 def constant_field(grid: GridSpec, value: float) -> Field:
     return Field(grid, np.full(grid.cells, float(value)))
-
-
-def face_gradient(f: Field, axis: int) -> np.ndarray:
-    """Two-point difference (f_R - f_L)/h on every face along `axis`.
-
-    The returned array has one entry per face (cells+1 along the axis);
-    the two boundary faces are exactly zero.
-    """
-    if axis < 0 or axis >= f.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    v = f.values
-    h = f.grid.spacing[axis]
-    shape = list(v.shape)
-    shape[axis] += 1
-    g = np.zeros(shape)
-    interior = tuple(slice(1, -1) if k == axis else slice(None) for k in range(v.ndim))
-    with np.errstate(invalid="ignore"):
-        g[interior] = np.diff(v, axis=axis) / h
-    return g
 
 
 def integrate(f: Field) -> float:
@@ -134,9 +122,77 @@ def lp_norm(f: Field, p: float) -> float:
     return float((np.abs(f.values) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
 
 
+class _FaceBuffer:
+    """One axis of the flat face layout (see the module docstring): `faces`
+    holds the face between raveled cells k and k + st at k, `plus` and
+    `minus` are each cell's +axis and -axis face (a zero border past the
+    ends), `interior` the interior faces, one fewer along the axis, and
+    `padded` the faces with both zero borders."""
+
+    def __init__(self, grid: GridSpec, axis: int):
+        n, n1 = grid.num_cells, grid.cells[-1]
+        self.st = st = n // math.prod(grid.cells[:axis + 1])
+        self.padded = buf = np.zeros(n + st)
+        self.faces = buf[st:n]
+        self.plus = buf[st:].reshape(grid.cells)
+        self.minus = buf[:n].reshape(grid.cells)
+        self.interior = self.plus[(slice(None),) * axis + (slice(-1),)]
+        self.wrap = slice(n1 - 1, None, n1) if axis else slice(0)
+
+    def diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """faces := a - b (raveled cells shifted by st), wrap faces 0.0."""
+        np.subtract(a, b, out=self.faces)
+        self.faces[self.wrap] = 0.0
+        return self.faces
+
+
+class _Laplacian:
+    """Matrix-free Neumann Laplacian: (2*dim+1)-point, flux form.
+
+    Each cell gets (+axis face difference - -axis face difference) per axis
+    in the flat face layout, one rounding each, and the axis terms are summed
+    in a fixed order, so the result is bitwise mirror-symmetric for
+    mirror-symmetric input.  Every interior face difference enters its two
+    cells with opposite signs, so the entries sum to zero up to rounding;
+    boundary and wrap faces are 0.0 and carry nothing.
+    """
+
+    def __init__(self, grid):
+        self.diffs = [_FaceBuffer(grid, axis) for axis in range(grid.dim)]
+        self.scales = [1.0 / h ** 2 for h in grid.spacing]
+        self.term = np.empty(grid.cells)
+        # magnitude of the diagonal at an interior cell
+        self.diag = sum(2.0 * s for s in self.scales)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        xf = x.reshape(-1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for axis, (g, scale) in enumerate(zip(self.diffs, self.scales)):
+                g.diff(xf[g.st:], xf[:-g.st])
+                g.faces *= scale
+                term = out if axis == 0 else self.term
+                np.subtract(g.plus, g.minus, out=term)
+                if axis:
+                    out += term
+        return out
+
+
+def _face_differences(grid: GridSpec, x: np.ndarray):
+    """Per axis, a new face buffer holding x_R - x_L, and the axis's spacing."""
+    xf = x.reshape(-1)
+    for axis, h in enumerate(grid.spacing):
+        g = _FaceBuffer(grid, axis)
+        with np.errstate(invalid="ignore"):
+            g.diff(xf[g.st:], xf[:-g.st])
+        yield g, h
+
+
 def face_gradient_sup(f: Field) -> float:
-    """Max over all faces and axes of |two-point gradient|."""
-    return max(float(np.abs(face_gradient(f, axis)).max()) for axis in range(f.grid.dim))
+    """Max over all faces and axes of |two-point gradient| (f_R - f_L)/h.
+
+    Rounding is monotone, so max |d| / h is the max of the rounded |d| / h.
+    """
+    return max(float(np.abs(g.faces).max()) / h for g, h in _face_differences(f.grid, f.values))
 
 
 def second_difference_sup(f: Field) -> float:
@@ -147,24 +203,20 @@ def second_difference_sup(f: Field) -> float:
     degenerate.
     """
     worst = 0.0
-    v = f.values
-    for axis in range(f.grid.dim):
-        h = f.grid.spacing[axis]
-        dd = np.diff(v, n=2, axis=axis) / (h * h)
-        if dd.size:
-            worst = max(worst, float(np.abs(dd).max()))
+    for axis, (g, h) in enumerate(_face_differences(f.grid, f.values)):
+        inner = (slice(None),) * axis + (slice(1, -1),)
+        worst = max(worst, float(np.abs(g.plus[inner] - g.minus[inner]).max()) / (h * h))
     return worst
 
 
-def grad_square_integral(f: Field) -> float:
-    """Discrete integral of |grad f|^2 using face gradients.
+def grad_square_integral(grid: GridSpec, x: np.ndarray) -> float:
+    """Discrete integral of |grad x|^2 using face gradients.
 
-    Each interior face contributes g^2 times the cell volume; boundary
-    faces contribute nothing (their gradient is zero by construction).
+    Each interior face contributes ((x_R - x_L)/h)^2 times the cell volume;
+    boundary and wrap faces contribute nothing (they are zero).
     """
     total = 0.0
-    vol = f.grid.cell_volume
-    for axis in range(f.grid.dim):
-        g = face_gradient(f, axis)
-        total += float((g * g).sum() * vol)
+    for g, h in _face_differences(grid, x):
+        g.faces /= h
+        total += float((g.padded * g.padded).sum() * grid.cell_volume)
     return total

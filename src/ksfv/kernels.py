@@ -282,6 +282,14 @@ def default_s(m: float, q: float, N: int) -> int:
     return s
 
 
+def _verdict(failures) -> dict:
+    """A self-check entry from an iterator that yields one detail per
+    failing trial: it stops at the first, so no later trial draws from the
+    shared random stream."""
+    detail = next(failures, "")
+    return {"pass": not detail, "detail": detail}
+
+
 def self_check(tuples: int = 200, seed: int = 0) -> dict:
     """Randomized self-verification of the kernel formulas.
 
@@ -291,91 +299,70 @@ def self_check(tuples: int = 200, seed: int = 0) -> dict:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    report: dict[str, dict] = {}
 
-    # Saturated recursion from the threshold obeys y_n = y0 b^(-n/alpha).
-    # The marginal orbit amplifies rounding noise by (1+alpha) per step, so
-    # doubles track it only over short horizons; long-horizon convergence is
-    # checked strictly below the threshold, where the orbit is stable.
-    ok = True
-    detail = ""
-    for _ in range(tuples):
-        c = rng.uniform(0.1, 10.0)
-        b = rng.uniform(1.0 + 1e-6, 8.0)
-        alpha = rng.uniform(0.2, 3.0)
-        y0 = recursion_threshold(c, b, alpha)
-        trace = iterate_recursion(RecursionParams(c, b, alpha, y0), 12)
-        expected = y0 * b ** (-12.0 / alpha)
-        if trace.diverged or not math.isclose(trace.values[-1], expected, rel_tol=1e-6):
-            ok = False
-            detail = f"closed-form decay mismatch at c={c}, b={b}, alpha={alpha}"
-            break
-        below = iterate_recursion(RecursionParams(c, b, alpha, 0.5 * y0), 200)
-        if below.diverged or below.values[-1] > 1e-12 * (0.5 * y0):
-            ok = False
-            detail = f"sub-threshold start failed to die at c={c}, b={b}, alpha={alpha}"
-            break
-    report["recursion_decay"] = {"pass": ok, "detail": detail}
+    def recursion_decay():
+        # Saturated recursion from the threshold obeys y_n = y0 b^(-n/alpha).
+        # The marginal orbit amplifies rounding noise by (1+alpha) per step, so
+        # doubles track it only over short horizons; long-horizon convergence is
+        # checked strictly below the threshold, where the orbit is stable.
+        for _ in range(tuples):
+            c = rng.uniform(0.1, 10.0)
+            b = rng.uniform(1.0 + 1e-6, 8.0)
+            alpha = rng.uniform(0.2, 3.0)
+            y0 = recursion_threshold(c, b, alpha)
+            trace = iterate_recursion(RecursionParams(c, b, alpha, y0), 12)
+            expected = y0 * b ** (-12.0 / alpha)
+            if trace.diverged or not math.isclose(trace.values[-1], expected, rel_tol=1e-6):
+                yield f"closed-form decay mismatch at c={c}, b={b}, alpha={alpha}"
+            below = iterate_recursion(RecursionParams(c, b, alpha, 0.5 * y0), 200)
+            if below.diverged or below.values[-1] > 1e-12 * (0.5 * y0):
+                yield f"sub-threshold start failed to die at c={c}, b={b}, alpha={alpha}"
 
-    # Absorption roots bracket s0 and f(s0) = -delta at the eps bound.
-    ok = True
-    detail = ""
-    for _ in range(tuples):
-        delta = rng.uniform(0.1, 5.0)
-        b = rng.uniform(0.1, 10.0)
-        eps = eps_condition_bound(delta, b)
-        bound = absorption_bound(AbsorptionParams(eps, delta, b))
-        if not bound.condition_holds or bound.f_at_s0 > -delta + 1e-12:
-            ok = False
-            detail = f"f(s0) too large at delta={delta}, b={b}"
-            break
-        if bound.roots is None or not bound.roots[0] <= bound.s0 <= bound.roots[1]:
-            ok = False
-            detail = f"roots fail to bracket s0 at delta={delta}, b={b}"
-            break
-    report["absorption_roots"] = {"pass": ok, "detail": detail}
+    def absorption_roots():
+        # Absorption roots bracket s0 and f(s0) = -delta at the eps bound.
+        for _ in range(tuples):
+            delta = rng.uniform(0.1, 5.0)
+            b = rng.uniform(0.1, 10.0)
+            eps = eps_condition_bound(delta, b)
+            bound = absorption_bound(AbsorptionParams(eps, delta, b))
+            if not bound.condition_holds or bound.f_at_s0 > -delta + 1e-12:
+                yield f"f(s0) too large at delta={delta}, b={b}"
+            if bound.roots is None or not bound.roots[0] <= bound.s0 <= bound.roots[1]:
+                yield f"roots fail to bracket s0 at delta={delta}, b={b}"
 
-    # gamma(s) -> 1/(m-q).
-    ok = True
-    detail = ""
-    for gap in (0.25, 0.5, 1.0, 2.0):
-        g = gamma_exponent(1e6, 1.0 + gap, 1.0, 3)
-        if abs(g - 1.0 / gap) > 1e-3:
-            ok = False
-            detail = f"gamma limit off by {abs(g - 1.0 / gap)} at m-q={gap}"
-            break
-    report["gamma_limit"] = {"pass": ok, "detail": detail}
+    def gamma_limit():
+        # gamma(s) -> 1/(m-q).
+        for gap in (0.25, 0.5, 1.0, 2.0):
+            g = gamma_exponent(1e6, 1.0 + gap, 1.0, 3)
+            if abs(g - 1.0 / gap) > 1e-3:
+                yield f"gamma limit off by {abs(g - 1.0 / gap)} at m-q={gap}"
 
-    # lhs of the H4 equivalence matches the s-free inequality.
-    ok = True
-    detail = ""
-    for _ in range(tuples):
-        m = rng.uniform(0.05, 4.0)
-        q = rng.uniform(0.05, 4.0)
-        N = int(rng.integers(2, 7))
-        s = rng.uniform(0.01, 100.0)
-        lhs, _ = h4_equivalence(m, q, N, s)
-        if lhs != ((N + 1.0) * m - (N + 2.0) * q + 1.0 > 0.0):
-            ok = False
-            detail = f"mismatch at m={m}, q={q}, N={N}, s={s}"
-            break
-    report["h4_equivalence_s_free"] = {"pass": ok, "detail": detail}
+    def h4_equivalence_s_free():
+        # lhs of the H4 equivalence matches the s-free inequality.
+        for _ in range(tuples):
+            m = rng.uniform(0.05, 4.0)
+            q = rng.uniform(0.05, 4.0)
+            N = int(rng.integers(2, 7))
+            s = rng.uniform(0.01, 100.0)
+            lhs, _ = h4_equivalence(m, q, N, s)
+            if lhs != ((N + 1.0) * m - (N + 2.0) * q + 1.0 > 0.0):
+                yield f"mismatch at m={m}, q={q}, N={N}, s={s}"
 
-    # Two arrangements of q_s agree.
-    ok = True
-    detail = ""
-    for _ in range(tuples):
-        m = rng.uniform(0.05, 4.0)
-        q = rng.uniform(0.05, m)
-        N = int(rng.integers(2, 7))
-        s = rng.uniform(1.0, 50.0)
-        m_s, q_s = exponent_ms_qs(s, m, q, N)
-        direct = m_s - (2.0 * q - m + s)
-        if abs(direct - q_s) > 1e-13 * max(abs(q_s), 1.0):
-            ok = False
-            detail = f"q_s arrangements disagree at m={m}, q={q}, N={N}, s={s}"
-            break
-    report["qs_identity"] = {"pass": ok, "detail": detail}
+    def qs_identity():
+        # Two arrangements of q_s agree.
+        for _ in range(tuples):
+            m = rng.uniform(0.05, 4.0)
+            q = rng.uniform(0.05, m)
+            N = int(rng.integers(2, 7))
+            s = rng.uniform(1.0, 50.0)
+            m_s, q_s = exponent_ms_qs(s, m, q, N)
+            direct = m_s - (2.0 * q - m + s)
+            if abs(direct - q_s) > 1e-13 * max(abs(q_s), 1.0):
+                yield f"q_s arrangements disagree at m={m}, q={q}, N={N}, s={s}"
 
-    report["all_pass"] = all(v["pass"] for v in report.values() if isinstance(v, dict))
+    # in this order: the checks share one random stream
+    report = {check.__name__: _verdict(check())
+              for check in (recursion_decay, absorption_roots, gamma_limit,
+                            h4_equivalence_s_free, qs_identity)}
+    report["all_pass"] = all(v["pass"] for v in report.values())
     return report

@@ -19,13 +19,9 @@ One step advances (u, v) by operator splitting:
      positive definite and an M-matrix, so the exact update preserves
      nonnegativity and the discrete maximum principle).
 
-Every face operation runs on one flat face layout (_FaceBuffer): along an
-axis of flat stride st (n1 for axis 0 of an n0 x n1 grid, else 1), the
-faces are the contiguous shift x[st:] - x[:-st] between zero borders of st
-entries, so a cell's divergence is one subtraction, +axis face minus -axis
-face, and no slice strides.  On the last axis of a 2-D grid the shift also
-pairs (i, n1-1) with (i+1, 0); these wrap faces are set to exactly 0.0
-after each difference, so nothing, finite or not, crosses a row end.
+Every face operation runs on the grid's flat face layout (grid._FaceBuffer,
+whose wrap faces on the last axis of a 2-D grid are exactly 0.0) and every
+Laplacian is grid._Laplacian.
 
 Every implicit system here is symmetric positive definite.  Two have
 constant coefficients: the v-solve, whose operator is (1 + dt) - dt lap_h,
@@ -82,7 +78,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Field, GridSpec, face_gradient_sup
+from .grid import Field, GridSpec, _FaceBuffer, _Laplacian, face_gradient_sup
 from .model import InitialData, ModelParams
 
 
@@ -148,60 +144,6 @@ def _power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
         return np.multiply(x, x, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.sqrt(x, out=out) if e == 0.5 else np.power(x, e, out=out)
-
-
-class _FaceBuffer:
-    """One axis of the flat face layout (see the module docstring): `faces`
-    holds the face between raveled cells k and k + st at k, `plus` and
-    `minus` are each cell's +axis and -axis face (a zero border past the
-    ends), and `interior` the interior faces, one fewer along the axis."""
-
-    def __init__(self, grid: GridSpec, axis: int):
-        n, n1 = grid.num_cells, grid.cells[-1]
-        self.st = st = n // math.prod(grid.cells[:axis + 1])
-        buf = np.zeros(n + st)
-        self.faces = buf[st:n]
-        self.plus = buf[st:].reshape(grid.cells)
-        self.minus = buf[:n].reshape(grid.cells)
-        self.interior = self.plus[(slice(None),) * axis + (slice(-1),)]
-        self.wrap = slice(n1 - 1, None, n1) if axis else slice(0)
-
-    def diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """faces := a - b (raveled cells shifted by st), wrap faces 0.0."""
-        np.subtract(a, b, out=self.faces)
-        self.faces[self.wrap] = 0.0
-        return self.faces
-
-
-class _Laplacian:
-    """Matrix-free Neumann Laplacian: (2*dim+1)-point, flux form.
-
-    Each cell gets (+axis face difference - -axis face difference) per axis
-    in the flat face layout, one rounding each, and the axis terms are summed
-    in a fixed order, so the result is bitwise mirror-symmetric for
-    mirror-symmetric input.  Every interior face difference enters its two
-    cells with opposite signs, so the entries sum to zero up to rounding;
-    boundary and wrap faces are 0.0 and carry nothing.
-    """
-
-    def __init__(self, grid):
-        self.diffs = [_FaceBuffer(grid, axis) for axis in range(grid.dim)]
-        self.scales = [1.0 / h ** 2 for h in grid.spacing]
-        self.term = np.empty(grid.cells)
-        # magnitude of the diagonal at an interior cell
-        self.diag = sum(2.0 * s for s in self.scales)
-
-    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        xf = x.reshape(-1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            for axis, (g, scale) in enumerate(zip(self.diffs, self.scales)):
-                g.diff(xf[g.st:], xf[:-g.st])
-                g.faces *= scale
-                term = out if axis == 0 else self.term
-                np.subtract(g.plus, g.minus, out=term)
-                if axis:
-                    out += term
-        return out
 
 
 class _Workspace:

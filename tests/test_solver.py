@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from ksfv import solver
-from ksfv.grid import Field, GridSpec, constant_field, integrate, lp_norm
+from ksfv.grid import (Field, GridSpec, _Laplacian, constant_field, face_gradient_sup,
+                       grad_square_integral, integrate, lp_norm, second_difference_sup)
 from ksfv.model import CRITICAL_MASS_2D, InitialData, ModelParams, make_initial_data
 from ksfv.solver import (DT_COLLAPSED, MAX_STEPS, NONFINITE, REACHED_T,
-                         SUP_THRESHOLD, SimState, StepControl, _cg, _Laplacian,
-                         _Potential, _ShiftedLaplaceInverse, _StepWork, _power,
-                         advance_v, run, step)
+                         SUP_THRESHOLD, SimState, StepControl, _cg, _Potential,
+                         _ShiftedLaplaceInverse, _StepWork, _power, advance_v, run,
+                         step)
 
 
 def grid1d(n=8, L=1.0):
@@ -235,6 +236,20 @@ class TestComputeDt:
                 assert dt_chem >= min(g.spacing) / (2 * dim * speed) * (1.0 - 4.0 * eps)
 
 
+class TestConservativeUpdate:
+    def test_any_face_fluxes_conserve_mass(self):
+        # the step's explicit chemotaxis update on random u, v: every face
+        # flux leaves one cell and enters its neighbour
+        rng = np.random.default_rng(23)
+        g = GridSpec(dim=2, cells=(12, 9), extent=(1.1, 0.9))
+        u = Field(g, rng.uniform(0, 2, (12, 9)))
+        v = Field(g, rng.uniform(0, 1, (12, 9)))
+        work = _StepWork(u, v, ModelParams(m=1.5, q=0.8))
+        before = integrate(u)
+        after = integrate(Field(g, work.chemotaxis_update(1e-3)))
+        assert after == pytest.approx(before, rel=1e-12)
+
+
 class TestFluxUpdate:
     def test_limiter_keeps_mass_and_positivity(self):
         # a potential far off the solve (middle cell emits 2 while holding
@@ -334,6 +349,24 @@ def slice_limiter(r, w, lw, dt, grid):
         u1 += inflow
 
 
+def diff_monitors(x, grid):
+    """face_gradient_sup, second_difference_sup and grad_square_integral in
+    the per-axis np.diff formulation, as an oracle: each axis's gradients
+    (x_R - x_L)/h fill an array of one more face along the axis, with zero
+    boundary faces."""
+    grad_sups, dd_sup, grad_sq = [], 0.0, 0.0
+    for axis, h in enumerate(grid.spacing):
+        shape = list(grid.cells)
+        shape[axis] += 1
+        g = np.zeros(shape)
+        g[tuple(slice(1, -1) if k == axis else slice(None) for k in range(grid.dim))] = \
+            np.diff(x, axis=axis) / h
+        grad_sups.append(float(np.abs(g).max()))
+        dd_sup = max(dd_sup, float(np.abs(np.diff(x, n=2, axis=axis) / (h * h)).max()))
+        grad_sq += float((g * g).sum() * grid.cell_volume)
+    return max(grad_sups), dd_sup, grad_sq
+
+
 def layout_data(grid, kind, seed=0):
     """u >= 0 and v on the grid: uniform random, or with inf and nan
     sprinkled into both, or with empty cells and ties in v."""
@@ -350,8 +383,8 @@ def layout_data(grid, kind, seed=0):
 
 
 def step_rates(u, v, grid, q):
-    work = _StepWork(Field(grid, u, allow_nonfinite=True),
-                     Field(grid, v, allow_nonfinite=True), ModelParams(m=2.0, q=q, sigma=0.01))
+    work = _StepWork(Field._adopt(grid, u.copy()), Field._adopt(grid, v.copy()),
+                     ModelParams(m=2.0, q=q, sigma=0.01))
     return work.out_rate.copy(), work.in_rate.copy(), work.sup_grad_v
 
 
@@ -360,10 +393,24 @@ class TestFaceLayout:
     @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
     def test_kernels_match_slice_oracle_bit_for_bit(self, grid, kind):
         u, v = layout_data(grid, kind)
+        # a ramp: zero second differences, but a one-sided difference at a
+        # boundary cell would not be zero
+        ramp = np.indices(grid.cells).sum(axis=0) * 1.0
         with np.errstate(all="ignore"):
-            for x in (u, v):
+            for x in (u, v, ramp):
                 lx = _Laplacian(grid)(x, np.empty(grid.cells))
                 assert lx.tobytes() == slice_laplacian(x, grid).tobytes()
+                # the diagnostics' monitors; on the last axis of a 2-D grid
+                # the layout sums its zero faces in another order
+                ref_sup, ref_dd, ref_sq = diff_monitors(x, grid)
+                f = Field._adopt(grid, x.copy())
+                assert repr(face_gradient_sup(f)) == repr(ref_sup)
+                assert repr(second_difference_sup(f)) == repr(ref_dd)
+                if grid.dim == 1:
+                    assert repr(grad_square_integral(grid, x)) == repr(ref_sq)
+                else:
+                    assert grad_square_integral(grid, x) == pytest.approx(ref_sq, rel=1e-14,
+                                                                          nan_ok=True)
             for q in (1.0, 0.5, 2.0):
                 out_rate, in_rate, sup_dv = step_rates(u, v, grid, q)
                 ref_out, ref_in, ref_sup = slice_rates(u, v, grid, q)
@@ -513,10 +560,28 @@ class TestDiffusionUpdate:
         assert lw.tobytes() == _Laplacian(g)(w, np.empty_like(w)).tobytes()
 
 
+def newton_operator(grid, d, dt, active):
+    """x -> d x - dt lap_h x, zero outside `active` (None: every cell), in
+    the operation order of diffusion_update's apply_J."""
+    lap, tmp = _Laplacian(grid), np.empty(grid.cells)
+
+    def apply_J(x, out):
+        lap(x, out)
+        out *= -dt
+        out += np.multiply(d, x, out=tmp)
+        if active is not None:
+            out *= active
+        return out
+
+    return apply_J
+
+
 def newton_systems(monkeypatch, u_vals, grid, m=2.0, sigma=1e-3, dt=0.01):
     """The (preconditioner, rhs, operator) of every CG solve that one
     diffusion_update at r = u hands to _cg; each preconditioner keeps its d
-    as `d`."""
+    as `d`.  The recorded operator is built from that correction's own d
+    and mask: diffusion_update's apply_J reads the workspace's, which the
+    next correction overwrites."""
     systems = []
 
     class Recording(solver._NewtonPreconditioner):
@@ -531,7 +596,10 @@ def newton_systems(monkeypatch, u_vals, grid, m=2.0, sigma=1e-3, dt=0.01):
                 self.active = active.copy()
 
     def recording_cg(apply_A, rhs, tol, max_iters, precond, vecs):
-        systems.append((precond, rhs.copy(), apply_A))
+        apply_J = newton_operator(grid, precond.d, precond.dt, precond.active)
+        assert (apply_J(rhs, np.empty(grid.cells)).tobytes()
+                == apply_A(rhs, np.empty(grid.cells)).tobytes())
+        systems.append((precond, rhs.copy(), apply_J))
         return _cg(apply_A, rhs, tol, max_iters, precond, vecs)
 
     monkeypatch.setattr(solver, "_NewtonPreconditioner", Recording)
