@@ -34,16 +34,35 @@ diag(du/dw) - dt lap_h varies only in its diagonal.  Those are
 preconditioned by a symmetric multigrid V-cycle (_NewtonPreconditioner):
 two damped-Jacobi sweeps before and after each coarse correction, grids
 halved while every axis is even, and the cosine-basis inverse scaled by the
-diagonal on the coarsest level.  Its depth is one constant, _MG_MIN_CELLS:
-a 2-D grid of more than 64^2 cells is halved down to the first level of at
-most 16^2 cells, and any other grid keeps one level, on which the V-cycle
-is that scaled cosine inverse.  Measured with one BLAS thread: at 128^2
-(the bounded-side legs of the benchmark, m = 2 and 1.5) the V-cycle takes
-1.8 and 2.1 CG iterations per correction, against 11.4 and 6.6 for the
+diagonal on the coarsest level, which is exact when du/dw is uniform.  Its
+depth follows the grid (_MG_MIN_CELLS) and du/dw (_MG_SPREAD): a 2-D grid
+of more than 64^2 cells is halved down to the first level of at most 16^2
+cells unless du/dw varies by at most a factor 4 over the active cells; any
+other grid, and any such correction, keeps one level, on which the V-cycle
+is that scaled cosine inverse.  Measured with one BLAS thread on the
+bounded-side legs of the benchmark (the 128^2 bump at m = 2 and 1.5 to
+T = 1, 77 and 83 steps): with every correction on the V-cycle they take
+1.8 and 2.1 CG iterations per correction, against 11.4 and 6.6 with the
 scaled cosine inverse alone, and a two-grid cycle (coarsest 64^2) 3.3 and
-2.9.  At 64^2 a V-cycle application costs about four cosine-inverse
-iterations, so the 64^2 sweep points gain nothing and (0.75, 0.5) ran
-slower, which is why such grids keep one level.
+2.9.  But once the bump has spread out the cosine inverse is nearly exact,
+and a correction on it leaves Newton less to do.  Over the spread bound
+(corrections and CG iterations of the two legs, the corrections that took
+one level, and the median wall time of both legs over 3 rounds):
+
+    bound         corrections  CG iterations  one level   wall
+    0 (V-cycle)   405 + 347    728 + 720        0 +   0   2.13 s
+    2             330 + 276    541 + 481       71 + 116   1.31 s
+    4             330 + 276    545 + 485       83 + 129   1.25 s
+    16            330 + 276    547 + 488       89 + 137   1.29 s
+    100           330 + 276    554 + 501       92 + 144   1.45 s
+    1000          330 + 382    556 + 2520      94 + 382   2.51 s
+    inf (cosine)  441 + 382    5024 + 2520    441 + 382   4.68 s
+
+Any bound from 2 to 100 does the same work; at 1000 every correction of
+the m = 1.5 leg, whose du/dw = (u+sigma)^(-1/2)/1.5 spans at most about
+970, falls under it, peaked ones too.  At 64^2 a V-cycle application costs
+about four cosine-inverse iterations, so the 64^2 sweep points gain nothing
+and (0.75, 0.5) ran slower, which is why such grids keep one level.
 
 The v-solve and the diffusion solve stop at the residual 2-norm
 v_solve_tol * (1 + |rhs|); the CG solve of each m != 1 Newton correction
@@ -165,7 +184,8 @@ class _Workspace:
     def levels(self) -> list:
         """The V-cycle's levels, finest first (see _MG_MIN_CELLS), built at the
         first m != 1 step: each a grid, its Laplacian and arrays for a cycle's
-        r and x, d, the smoother weights, scratch and restriction pairs."""
+        r and x, d, the smoother weights, scratch, restriction pairs, and the
+        scale and inverse eigenvalues of _scaled_inverse."""
         grids = [self.grid]
         if self.grid.dim == 2 and self.grid.num_cells > _MG_MIN_CELLS:
             # a GridSpec needs at least 3 cells per axis
@@ -176,7 +196,8 @@ class _Workspace:
         return [SimpleNamespace(grid=g, lap=self.lap if g is self.grid else _Laplacian(g),
                                 pairs=np.empty(2 * g.num_cells),
                                 **{k: np.empty(g.cells) for k in ("r", "x", "d", "weights",
-                                                                  "res", "tmp")})
+                                                                  "res", "tmp", "scale",
+                                                                  "inv_denom")})
                 for g in grids]
 
 
@@ -322,14 +343,14 @@ def _scaled_inverse(level: SimpleNamespace, d: np.ndarray, dt: float, active=Non
     (None: every cell) map to zero.  Applied as f(x, out); the level's own
     arrays are its scratch, as a coarsest level does not smooth."""
     grid, tmp = level.grid, level.weights
-    inv_diag = np.divide(1.0, np.add(d, dt * level.lap.diag, out=tmp))
+    inv_diag = np.divide(1.0, np.add(d, dt * level.lap.diag, out=tmp), out=level.scale)
     n_active = grid.num_cells
     if active is not None:
         inv_diag *= active
-        n_active = max(int(active.sum()), 1)
+        n_active = max(np.count_nonzero(active), 1)
     shifted = _ShiftedLaplaceInverse(grid, float(np.multiply(d, inv_diag, out=tmp).sum())
                                      / n_active, dt * float(inv_diag.sum()) / n_active,
-                                     (np.empty(grid.cells), level.res, level.tmp))
+                                     (level.inv_denom, level.res, level.tmp))
     scale = np.sqrt(inv_diag, out=inv_diag)
     return lambda x, out: np.multiply(scale, shifted(np.multiply(scale, x, out=tmp), out), out=out)
 
@@ -339,6 +360,10 @@ def _scaled_inverse(level: SimpleNamespace, d: np.ndarray, dt: float, active=Non
 # _MG_MIN_CELLS / 16 cells (128^2 -> 16^2); other grids keep one level.
 # Chosen from measurements at 128^2 and 64^2 (see the module docstring).
 _MG_MIN_CELLS = 64 * 64
+# A Newton correction whose d varies by at most this factor over the active
+# cells takes one level whatever the grid: the scaled cosine inverse, exact
+# for uniform d.  Chosen from measurements at 128^2 (see the module docstring).
+_MG_SPREAD = 4.0
 _MG_OMEGA = 0.8     # damped-Jacobi weight
 _MG_SWEEPS = 2      # Jacobi sweeps before and after each coarse correction
 
@@ -359,21 +384,28 @@ class _NewtonPreconditioner:
     of an m != 1 Newton correction; cells outside the `active` mask (None:
     every cell) map to zero, as _cg requires of pinned cells.
 
-    Each level halves every axis of the one above (_Workspace.levels); its
-    d is the mean of the children's, its operator the rediscretised
-    Laplacian.  A level smooths with _MG_SWEEPS damped-Jacobi sweeps (weight
-    _MG_OMEGA, diagonal d + dt lap_h.diag) before and after the correction
-    from the level below; residuals are restricted by the mean of the
-    children and corrections prolonged by copying into them.  The coarsest
-    level applies _scaled_inverse with no smoothing, so a grid that does not
-    coarsen gets exactly that.  Restriction is a multiple of the transposed
-    prolongation and the sweeps match on both sides, so the cycle is a
-    symmetric positive definite operator.  It reads the caller's d and keeps
-    the rest in workspace arrays: valid until the next one on the grid.
+    It takes the grid's levels (_Workspace.levels), or only the finest when
+    max d <= _MG_SPREAD min d over the active cells.  Each level halves every
+    axis of the one above; its d is the mean of the children's, its operator
+    the rediscretised Laplacian.  A level smooths with _MG_SWEEPS
+    damped-Jacobi sweeps (weight _MG_OMEGA, diagonal d + dt lap_h.diag)
+    before and after the correction from the level below; residuals are
+    restricted by the mean of the children and corrections prolonged by
+    copying into them.  The coarsest level applies _scaled_inverse with no
+    smoothing, so one level is exactly that scaled cosine inverse, exact for
+    uniform d.  Restriction is a multiple of the transposed prolongation and
+    the sweeps match on both sides, so the cycle is a symmetric positive
+    definite operator.  It reads the caller's d and keeps the rest in
+    workspace arrays: valid until the next one on the grid.
     """
 
     def __init__(self, grid: GridSpec, d: np.ndarray, dt: float, active=None):
-        self.levels = levels = _workspace(grid).levels
+        levels = _workspace(grid).levels
+        where = True if active is None else active
+        if (len(levels) > 1 and np.max(d, where=where, initial=0.0)
+                <= _MG_SPREAD * np.min(d, where=where, initial=math.inf)):
+            levels = levels[:1]
+        self.levels = levels
         self.dt, self.active, self.ds, self.weights = dt, active, [d], []
         for fine, coarse in zip(levels, levels[1:]):
             diag = np.add(self.ds[-1], dt * fine.lap.diag, out=fine.weights)

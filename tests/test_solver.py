@@ -594,6 +594,15 @@ def newton_systems(monkeypatch, u_vals, grid, m=2.0, sigma=1e-3, dt=0.01):
             self.weights = [wk.copy() for wk in self.weights]
             if active is not None:
                 self.active = active.copy()
+            # the coarsest level's scaled inverse keeps its scale and
+            # inverse eigenvalues in that level's workspace arrays
+            coarsest = self.levels[-1]
+            self.kept = [(a, a.copy()) for a in (coarsest.scale, coarsest.inv_denom)]
+
+        def __call__(self, r, out=None):
+            for a, kept in self.kept:
+                np.copyto(a, kept)
+            return super().__call__(r, out)
 
     def recording_cg(apply_A, rhs, tol, max_iters, precond, vecs):
         apply_J = newton_operator(grid, precond.d, precond.dt, precond.active)
@@ -624,47 +633,58 @@ class TestNewtonPreconditioner:
     @pytest.mark.parametrize("cells", [(128, 128), (128, 64)])
     def test_symmetric_positive_definite(self, monkeypatch, cells):
         g = GridSpec(dim=2, cells=cells, extent=(1.0, 1.0))
-        assert len(solver._workspace(g).levels) == 4  # down to 16^2 and 16x8
         rng = np.random.default_rng(1)
         for P, _, _ in newton_systems(monkeypatch, bump(g, centre=(0.4, 0.55)), g):
+            # the bump's d spans far more than _MG_SPREAD: every correction
+            # coarsens down to 16^2 and 16x8
+            assert len(P.levels) == 4
             for _ in range(3):
                 x, y = rng.normal(size=cells), rng.normal(size=cells)
                 xPy, yPx = float(np.vdot(x, P(y))), float(np.vdot(y, P(x)))
                 assert abs(xPy - yPx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(P(y))
                 assert float(np.vdot(x, P(x))) > 0.0
 
-    @pytest.mark.parametrize("n", [16, 128])
-    def test_pinned_cells_map_to_zero(self, monkeypatch, n):
+    @pytest.mark.parametrize("n, uniform", [(16, False), (128, False), (128, True)],
+                             ids=["16", "128", "128-uniform-support"])
+    def test_pinned_cells_map_to_zero(self, monkeypatch, n, uniform):
         # sigma = 0 at m = 2: du/dw is infinite where u = 0, so those
         # cells are pinned and the preconditioner must leave them at zero
         g = grid2d(n)
         u = bump(g)
         u[u < 1.0] = 0.0
+        if uniform:
+            u[u > 0.0] = 1.0
         rng = np.random.default_rng(2)
         systems = newton_systems(monkeypatch, u, g, sigma=0.0)
+        if uniform:
+            # d is uniform on the active cells: the first correction takes
+            # one level, however many the grid has
+            assert len(systems[0][0].levels) == 1
         for P, _, _ in systems:
             z = P(rng.normal(size=g.cells))
             assert np.isfinite(z).all()
             assert not z[u == 0.0].any()
             assert z[u > 0.0].any()
 
-    @pytest.mark.parametrize("grid", [
-        GridSpec(dim=2, cells=(129, 129), extent=(1.0, 1.0)),   # odd
-        GridSpec(dim=2, cells=(64, 64), extent=(1.0, 1.0)),     # at most 64^2
-        GridSpec(dim=1, cells=(200,), extent=(1.0,)),
-    ], ids=["odd", "64", "1d"])
-    def test_one_level_is_the_scaled_cosine_inverse(self, monkeypatch, grid):
-        # a grid that does not coarsen gets exactly the cosine-basis
-        # preconditioner S (alpha - dt beta lap_h)^(-1) S
-        assert len(solver._workspace(grid).levels) == 1
+    @pytest.mark.parametrize("grid, base", [
+        (GridSpec(dim=2, cells=(129, 129), extent=(1.0, 1.0)), 0.0),   # odd
+        (GridSpec(dim=2, cells=(64, 64), extent=(1.0, 1.0)), 0.0),     # at most 64^2
+        (GridSpec(dim=1, cells=(200,), extent=(1.0,)), 0.0),
+        # a 4-level grid, but d = du/dw varies by less than _MG_SPREAD
+        (GridSpec(dim=2, cells=(128, 128), extent=(1.0, 1.0)), 50.0),
+    ], ids=["odd", "64", "1d", "128-nearly-uniform"])
+    def test_one_level_is_the_scaled_cosine_inverse(self, monkeypatch, grid, base):
+        # a grid that does not coarsen, or a nearly uniform d, gets exactly
+        # the cosine-basis preconditioner S (alpha - dt beta lap_h)^(-1) S
         if grid.dim == 1:
             x = grid.cell_centers(0)
             u = 100.0 * np.exp(-((x - 0.5) ** 2) / (2 * 0.08 ** 2))
         else:
-            u = bump(grid)
+            u = base + bump(grid)
         dt, m, sigma = 0.01, 2.0, 1e-3
         rng = np.random.default_rng(3)
         for P, rhs, _ in newton_systems(monkeypatch, u, grid, m, sigma, dt):
+            assert len(P.levels) == 1
             d, n = P.d, grid.num_cells
             inv_diag = 1.0 / (d + dt * _Laplacian(grid).diag)
             shifted = _ShiftedLaplaceInverse(grid, float((d * inv_diag).sum()) / n,
@@ -675,9 +695,10 @@ class TestNewtonPreconditioner:
                 assert P(r).tobytes() == (scale * shifted(scale * r)).tobytes()
 
     def test_iterations_per_correction(self):
-        # the bounded-side bump at 128^2, m = 2: the V-cycle keeps each
-        # correction to a few CG iterations (about 11 with the cosine
-        # preconditioner alone)
+        # the bounded-side bump at 128^2, m = 2, to t = 0.05: the V-cycle,
+        # taken while d varies by more than _MG_SPREAD, keeps each correction
+        # to a few CG iterations (1.7 here; 12.3 with the cosine
+        # preconditioner alone in every correction)
         g = grid2d(128)
         init = make_initial_data(g, "gaussian-bump", mass=1.5 * CRITICAL_MASS_2D, width=0.08)
         res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
@@ -685,6 +706,19 @@ class TestNewtonPreconditioner:
         assert res.termination == REACHED_T
         assert res.newton_corrections >= res.steps > 5
         assert res.u_solve_iters <= 4 * res.newton_corrections
+
+    def test_late_step_takes_few_corrections(self):
+        # the same bump at t = 0.15 is within 1% of its mean: d is nearly
+        # uniform, the one-level preconditioner nearly exact, and a step
+        # takes at most 2 Newton corrections (5 with the V-cycle)
+        g = grid2d(128)
+        init = make_initial_data(g, "gaussian-bump", mass=1.5 * CRITICAL_MASS_2D, width=0.08)
+        params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
+        res = run(init, params, StepControl(), horizon=0.15, samples=2)
+        assert res.termination == REACHED_T
+        outcome = step(res.final_state, params, StepControl())
+        assert outcome.stop is None
+        assert 1 <= outcome.newton_corrections <= 2
 
 
 class TestConjugateGradients:
@@ -713,12 +747,17 @@ class TestWorkspace:
     """The per-thread, per-grid workspace that holds every array a step
     writes and discards, so that a step allocates only the next state."""
 
-    @pytest.mark.parametrize("m", [1.0, 2.0])
-    def test_warm_step_allocates_at_most_six_grid_arrays(self, m):
+    @pytest.mark.parametrize("m, base", [(1.0, None), (2.0, None), (2.0, 50.0)],
+                             ids=["1.0", "2.0", "2.0-nearly-uniform"])
+    def test_warm_step_allocates_at_most_six_grid_arrays(self, m, base):
         # tracemalloc's peak above the pre-step level during one step of the
-        # 128^2 bump, after a first step has built the workspace
+        # 128^2 bump, after a first step has built the workspace; raised by
+        # `base`, the bump's d varies by less than _MG_SPREAD and every
+        # correction takes the one-level preconditioner
         g = grid2d(128)
         state, params = bump_state(g, m)
+        if base is not None:
+            state = state_from(base + bump(g), np.zeros(g.cells), g)
         state = step(state, params, StepControl()).state
         tracemalloc.start()
         try:
@@ -730,6 +769,28 @@ class TestWorkspace:
             tracemalloc.stop()
         assert outcome.stop is None
         assert peak <= 6 * g.num_cells * 8
+
+    def test_one_level_preconditioner_keeps_its_arrays_in_the_workspace(self):
+        # the scaled cosine inverse a nearly uniform 128^2 correction takes
+        # keeps its scale and inverse eigenvalues in workspace arrays; what
+        # building and applying it allocates is numpy's iterator buffers in
+        # _ShiftedLaplaceInverse, about one grid array at 128^2, where the
+        # two arrays allocated per build would make three
+        g = grid2d(128)
+        d = 0.5 / (50.0 + bump(g))  # du/dw at m = 2, within _MG_SPREAD
+        r, out = np.random.default_rng(5).normal(size=g.cells), np.empty(g.cells)
+        solver._NewtonPreconditioner(g, d, 0.01)(r, out)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            P = solver._NewtonPreconditioner(g, d, 0.01)
+            P(r, out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(P.levels) == 1
+        assert peak < 2 * g.num_cells * 8
 
     @pytest.mark.parametrize("second", [(128, 128), (96, 96)], ids=["one-grid", "two-grids"])
     def test_interleaved_steps_match_uninterrupted_runs(self, second):
