@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, SweepConfig, _convert, parse_config
-from .diagnostics import build_ladder, ladder_for_run
+from .diagnostics import DiagnosticsConfig, build_ladder, ladder_for_run
 from .kernels import exponent_ms_qs, self_check
 from .outputs import (SWEEP_JSON, emit_run_outputs, load_series,
                       write_ladder_csv, write_sweep_json)
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     p_l = sub.add_parser("ladder", help="rebuild a ladder from a run artifact")
     p_l.add_argument("run_dir")
     p_l.add_argument("--K", type=float, required=True)
-    p_l.add_argument("--n-max", type=int, default=8)
+    p_l.add_argument("--n-max", type=int, default=DiagnosticsConfig.ladder_n_max)
     p_l.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

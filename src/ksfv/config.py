@@ -3,11 +3,12 @@
 A config document is one JSON object whose "kind" is "run" or "sweep".  The
 config dataclasses are the schema: their fields are the keys, their
 annotations the types and their defaults the values of omitted keys.  Unknown
-keys are rejected, every invariant (the dataclasses' own and the initial
-data's) is checked at parse time, and the echo parses back to an equal config.
-Four values are derived instead, each once below: model.dim is the grid's dim
-(not a key), grid.extent defaults to 1.0 per axis, control.dt_min to
-1e-12 x horizon, and a sweep template's m and q to placeholders of 1.0.
+keys are rejected, every invariant is checked at parse time (the dataclasses'
+own, InitialSpec.check on the grid, and each sweep point's, as SweepConfig
+builds its points), and the echo parses back to an equal config.  Three
+defaults are derived instead, each once below: grid.extent is 1.0 per axis,
+control.dt_min 1e-12 x horizon, and a sweep template's m and q placeholders
+of 1.0.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
 from .diagnostics import DiagnosticsConfig, analytic_exponents
 from .grid import GridSpec
-from .model import InitialData, ModelParams, check_initial_data, make_initial_data
+from .model import InitialData, InitialSpec, ModelParams, make_initial_data
 from .solver import StepControl
 
 
@@ -32,20 +33,6 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-@dataclass(frozen=True)
-class InitialSpec:
-    preset: str = "gaussian-bump"
-    value: float = 1.0
-    mass: float = 1.0
-    width: float = 0.1
-    low: float = 0.0
-    high: float = 1.0
-    v0_preset: str = "constant"
-    v0_value: float = 0.0
-    center: tuple[float, ...] | None = None
-    centers: tuple[tuple[float, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +62,7 @@ class RunConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
-        if None in (self.model, self.control, self.diagnostics):
+        if None in (self.model, self.grid, self.control, self.diagnostics):
             return  # the parser reports the section that failed
         ctrl = self.control
         # StepControl allows these so tests can force a collapse; a run with
@@ -86,7 +73,7 @@ class RunConfig:
         if ctrl.dt_fixed is not None and ctrl.dt_fixed < ctrl.dt_min:
             raise ValueError(f"control.dt_fixed {ctrl.dt_fixed} is below dt_min {ctrl.dt_min}, "
                              "so every step would collapse")
-        analytic_exponents(self.model, self.diagnostics)
+        analytic_exponents(self.model, self.diagnostics, self.grid.dim)
 
     def make_initial(self) -> InitialData:
         return make_initial_data(self.grid, seed=self.seed, **vars(self.initial))
@@ -107,17 +94,22 @@ class SweepConfig:
                 raise ValueError(f"{name} must be strictly increasing")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.template is not None:  # else the parser reports the template
+            self.points  # builds and checks every point's config
 
-
-# Fields the parser fills from elsewhere in the document: not keys.
-_DERIVED = {ModelParams: ("dim",)}
+    @functools.cached_property
+    def points(self) -> tuple[tuple[int, int, RunConfig], ...]:
+        """(i, j, config) of each grid point, i-major over m_grid and j over
+        q_grid: the template with the point's m and q."""
+        return tuple((i, j, replace(self.template, model=replace(self.template.model, m=m, q=q)))
+                     for i, m in enumerate(self.m_grid) for j, q in enumerate(self.q_grid))
 
 
 @functools.cache
 def _keys(cls) -> tuple[tuple[Any, Any], ...]:
     """(field, type) of each key of cls, in declaration order."""
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in fields(cls) if f.name not in _DERIVED.get(cls, ()))
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
 def _is_number(x) -> bool:
@@ -152,10 +144,9 @@ def _read(cls, doc, path: str, errors: list[str], derive=None, **given):
     """A `cls` built from the JSON object `doc`, or None with the problems
     appended to `errors`.
 
-    `given` holds the values of fields that are not read here: sections,
-    which the caller reads, and derived fields.  An omitted key takes the
-    value `derive(values)` gives it, if any, else its dataclass default.
-    A constructor ValueError is reported under `path`.
+    `given` holds the values of the sections, which the caller reads.  An
+    omitted key takes the value `derive(values)` gives it, if any, else its
+    dataclass default.  A constructor ValueError is reported under `path`.
     """
     if not isinstance(doc, dict):
         errors.append(f"{path}: expected an object, got {type(doc).__name__}")
@@ -201,15 +192,14 @@ def _parse_run(doc, path: str, errors: list[str], model_derive=None) -> RunConfi
     initial = section(InitialSpec, "initial")
     cfg = _read(
         RunConfig, doc, path or "run", errors, grid=grid, initial=initial,
-        model=section(ModelParams, "model", model_derive,
-                      **({"dim": grid.dim} if grid else {})),
+        model=section(ModelParams, "model", model_derive),
         control=section(StepControl, "control", lambda v: {"dt_min": 1e-12 * horizon}
                         if _is_number(horizon) and horizon > 0 else {}),
         diagnostics=section(DiagnosticsConfig, "diagnostics"),
         thresholds=section(Thresholds, "thresholds"))
     if cfg and grid and initial:
         try:
-            check_initial_data(grid, seed=cfg.seed, **vars(initial))
+            initial.check(grid, cfg.seed)
         except ValueError as e:
             errors.append(f"{at('initial')}: {e}")
     return cfg if len(errors) == n else None

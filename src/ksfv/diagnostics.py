@@ -33,7 +33,7 @@ class DiagnosticsConfig:
     ladder_k_value: float = 0.5   # the ladder's K, as a multiple of the run's peak sup u
     s: int | None = None          # None: smallest admissible integer
     p_fr1: float | None = None    # None: N + 2 (must exceed (N+2)/2)
-    N: int | None = None          # analytic dimension; None: max(dim, 2)
+    N: int | None = None          # analytic dimension; None: max(grid dim, 2)
 
     def __post_init__(self):
         if self.N is not None and self.N < 2:
@@ -60,14 +60,15 @@ class DiagnosticsRecord:
     ratio_s14: float
 
 
-def analytic_exponents(params: ModelParams, config: DiagnosticsConfig
+def analytic_exponents(params: ModelParams, config: DiagnosticsConfig, dim: int
                        ) -> tuple[int, int, float]:
-    """The analytic dimension N and the exponents s and p_fr1, defaulting to
-    max(dim, 2), the smallest admissible integer s and N + 2.
+    """The analytic dimension N and the exponents s and p_fr1 on a grid of
+    dimension dim, defaulting to max(dim, 2), the smallest admissible
+    integer s and N + 2.
 
     Raises ValueError unless s > max(0, m - 2q) and p_fr1 > (N+2)/2.
     """
-    N = config.N if config.N is not None else max(params.dim, 2)
+    N = config.N if config.N is not None else max(dim, 2)
     s = config.s if config.s is not None else default_s(params.m, params.q, N)
     p_fr1 = config.p_fr1 if config.p_fr1 is not None else float(N + 2)
     if not s > max(0.0, params.m - 2.0 * params.q):
@@ -95,7 +96,7 @@ class DiagnosticsTracker:
     def __init__(self, params: ModelParams, config: DiagnosticsConfig, v0: Field):
         self.params = params
         self.config = config
-        self.N, self.s, self.p_fr1 = analytic_exponents(params, config)
+        self.N, self.s, self.p_fr1 = analytic_exponents(params, config, v0.grid.dim)
         self.v_w1inf_0 = face_gradient_sup(v0) + lp_norm(v0, math.inf)
         self.gamma = None
         if params.m > params.q:
@@ -206,7 +207,7 @@ def ladder_for_run(times, u_samples, cell_volume, params: ModelParams,
     """Ladder at K = ladder_k_value * sup_u_overall; None when the run never
     produced a positive sup (nothing to truncate).  `ksfv ladder --K`
     builds one at any other K."""
-    N, s, _ = analytic_exponents(params, config)
+    N, s, _ = analytic_exponents(params, config, np.ndim(u_samples[0]))
     m_s, _ = exponent_ms_qs(s, params.m, params.q, N)
     K = config.ladder_k_value * sup_u_overall
     if K <= 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, constant_field, integrate
+from .grid import Field, GridSpec, constant_field
 
 
 class Regime(enum.Enum):
@@ -35,7 +35,6 @@ class ModelParams:
     m: float
     q: float
     sigma: float = 0.0
-    dim: int = 2
     chemotaxis: bool = True
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class ModelParams:
             raise ValueError(f"q must be > 0, got {self.q}")
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError(f"sigma must be in [0, 1), got {self.sigma}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
 
 def classify_regime(params: ModelParams, N: int) -> Regime:
@@ -68,7 +65,6 @@ def classify_regime(params: ModelParams, N: int) -> Regime:
 
 @dataclass(frozen=True, eq=False)
 class InitialData:
-    preset: str
     u0: Field
     v0: Field
 
@@ -77,35 +73,50 @@ class InitialData:
             raise ValueError("initial data must be nonnegative")
 
 
-def check_initial_data(grid: GridSpec, preset: str, *, value: float, mass: float,
-                       width: float, center, centers, low: float, high: float,
-                       seed: int, v0_preset: str, v0_value: float) -> None:
-    """Raise ValueError unless make_initial_data can build these data on grid:
-    the arguments the preset reads, and any `center` or `centers` given."""
-    if preset not in ("constant", "gaussian-bump", "two-bumps", "random-nonneg"):
-        raise ValueError(f"unknown preset {preset!r}")
-    if preset == "constant" and value < 0:
-        raise ValueError(f"constant preset needs value >= 0, got {value}")
-    if preset in ("gaussian-bump", "two-bumps"):
-        if mass <= 0:
-            raise ValueError(f"requested mass must be > 0, got {mass}")
-        if width < 2.0 * max(grid.spacing):
-            raise ValueError(f"width {width} under-resolved: need at least 2 cells "
-                             f"({2.0 * max(grid.spacing)})")
-    if centers is not None and len(centers) == 0:
-        raise ValueError("centers must name at least one point")
-    for c in [center, *(centers or ())]:
-        if c is not None and len(c) != grid.dim:
-            raise ValueError(f"center {list(c)} needs {grid.dim} coordinates")
-    if preset == "random-nonneg":
-        if low < 0 or high <= low:
-            raise ValueError(f"need 0 <= low < high, got [{low}, {high})")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-    if v0_preset not in ("constant", "match"):
-        raise ValueError(f"unknown v0 preset {v0_preset!r}")
-    if v0_preset == "constant" and v0_value < 0:
-        raise ValueError(f"v0 must be nonnegative, got {v0_value}")
+@dataclass(frozen=True)
+class InitialSpec:
+    """Initial data as a named preset and the values it reads (see
+    make_initial_data): a run document's `initial` section."""
+
+    preset: str = "gaussian-bump"
+    value: float = 1.0
+    mass: float = 1.0
+    width: float = 0.1
+    low: float = 0.0
+    high: float = 1.0
+    v0_preset: str = "constant"
+    v0_value: float = 0.0
+    center: tuple[float, ...] | None = None
+    centers: tuple[tuple[float, ...], ...] | None = None
+
+    def check(self, grid: GridSpec, seed: int) -> None:
+        """Raise ValueError unless these data can be built on grid: the values
+        the preset reads, and any `center` or `centers` given."""
+        preset = self.preset
+        if preset not in ("constant", "gaussian-bump", "two-bumps", "random-nonneg"):
+            raise ValueError(f"unknown preset {preset!r}")
+        if preset == "constant" and self.value < 0:
+            raise ValueError(f"constant preset needs value >= 0, got {self.value}")
+        if preset in ("gaussian-bump", "two-bumps"):
+            if self.mass <= 0:
+                raise ValueError(f"requested mass must be > 0, got {self.mass}")
+            if self.width < 2.0 * max(grid.spacing):
+                raise ValueError(f"width {self.width} under-resolved: need at least 2 cells "
+                                 f"({2.0 * max(grid.spacing)})")
+        if self.centers is not None and len(self.centers) == 0:
+            raise ValueError("centers must name at least one point")
+        for c in [self.center, *(self.centers or ())]:
+            if c is not None and len(c) != grid.dim:
+                raise ValueError(f"center {list(c)} needs {grid.dim} coordinates")
+        if preset == "random-nonneg":
+            if self.low < 0 or self.high <= self.low:
+                raise ValueError(f"need 0 <= low < high, got [{self.low}, {self.high})")
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
+        if self.v0_preset not in ("constant", "match"):
+            raise ValueError(f"unknown v0 preset {self.v0_preset!r}")
+        if self.v0_preset == "constant" and self.v0_value < 0:
+            raise ValueError(f"v0 must be nonnegative, got {self.v0_value}")
 
 
 def _gaussian_values(grid: GridSpec, mass: float, width: float,
@@ -123,13 +134,10 @@ def _gaussian_values(grid: GridSpec, mass: float, width: float,
     return bump * (mass / raw_mass)
 
 
-def make_initial_data(grid: GridSpec, preset: str, *, value: float = 1.0,
-                      mass: float = 1.0, width: float = 0.1,
-                      center: tuple[float, ...] | None = None,
-                      centers: list[tuple[float, ...]] | None = None,
-                      low: float = 0.0, high: float = 1.0, seed: int = 0,
-                      v0_preset: str = "constant", v0_value: float = 0.0) -> InitialData:
-    """Build nonnegative (u0, v0) from a named preset.
+def make_initial_data(grid: GridSpec, preset: str, *, seed: int = 0,
+                      **values) -> InitialData:
+    """Build nonnegative (u0, v0) from a named preset; `values` are the other
+    fields of InitialSpec, which holds their defaults and checks them.
 
     Presets for u0:
       constant       - u0 = value everywhere
@@ -139,29 +147,26 @@ def make_initial_data(grid: GridSpec, preset: str, *, value: float = 1.0,
     v0 is a constant field (v0_value) unless v0_preset = "match", which
     copies u0.
     """
-    check_initial_data(grid, preset, value=value, mass=mass, width=width,
-                       center=center, centers=centers, low=low, high=high,
-                       seed=seed, v0_preset=v0_preset, v0_value=v0_value)
+    spec = InitialSpec(preset, **values)
+    spec.check(grid, seed)
     if preset == "constant":
-        u0 = constant_field(grid, value)
+        u0 = constant_field(grid, spec.value)
     elif preset == "gaussian-bump":
-        u0 = Field(grid, _gaussian_values(grid, mass, width, center))
+        u0 = Field(grid, _gaussian_values(grid, spec.mass, spec.width, spec.center))
     elif preset == "two-bumps":
+        centers = spec.centers
         if centers is None:
             centers = [tuple(0.3 * L for L in grid.extent),
                        tuple(0.7 * L for L in grid.extent)]
         vals = np.zeros(grid.cells)
         for c in centers:
-            vals += _gaussian_values(grid, mass / len(centers), width, tuple(c))
+            vals += _gaussian_values(grid, spec.mass / len(centers), spec.width, tuple(c))
         u0 = Field(grid, vals)
     else:
         rng = np.random.default_rng(seed)
-        u0 = Field(grid, rng.uniform(low, high, size=grid.cells))
-    v0 = constant_field(grid, v0_value) if v0_preset == "constant" else u0
-
-    data = InitialData(preset=preset, u0=u0, v0=v0)
-    assert integrate(data.u0) >= 0.0
-    return data
+        u0 = Field(grid, rng.uniform(spec.low, spec.high, size=grid.cells))
+    v0 = constant_field(grid, spec.v0_value) if spec.v0_preset == "constant" else u0
+    return InitialData(u0=u0, v0=v0)
 
 
 # Classical 2D aggregation threshold for concentrated data; imported from the

@@ -184,8 +184,10 @@ class _Workspace:
     def levels(self) -> list:
         """The V-cycle's levels, finest first (see _MG_MIN_CELLS), built at the
         first m != 1 step: each a grid, its Laplacian and arrays for a cycle's
-        r and x, d, the smoother weights, scratch, restriction pairs, and the
-        scale and inverse eigenvalues of _scaled_inverse."""
+        r, the smoother weights, scratch, and the scale and inverse
+        eigenvalues of _scaled_inverse.  The coarse levels also hold their
+        cycle's x, their d and restriction pairs; on the finest level these
+        are the caller's out and d, and restriction writes only below it."""
         grids = [self.grid]
         if self.grid.dim == 2 and self.grid.num_cells > _MG_MIN_CELLS:
             # a GridSpec needs at least 3 cells per axis
@@ -193,12 +195,14 @@ class _Workspace:
                    and all(n % 2 == 0 and n >= 6 for n in grids[-1].cells)):
                 grids.append(GridSpec(dim=2, cells=tuple(n // 2 for n in grids[-1].cells),
                                       extent=self.grid.extent))
-        return [SimpleNamespace(grid=g, lap=self.lap if g is self.grid else _Laplacian(g),
-                                pairs=np.empty(2 * g.num_cells),
-                                **{k: np.empty(g.cells) for k in ("r", "x", "d", "weights",
-                                                                  "res", "tmp", "scale",
-                                                                  "inv_denom")})
-                for g in grids]
+        levels = [SimpleNamespace(grid=g, lap=_Laplacian(g), x=np.empty(g.cells),
+                                  d=np.empty(g.cells), pairs=np.empty(2 * g.num_cells))
+                  for g in grids[1:]]
+        levels.insert(0, SimpleNamespace(grid=self.grid, lap=self.lap))
+        for lv in levels:
+            for k in ("r", "weights", "res", "tmp", "scale", "inv_denom"):
+                setattr(lv, k, np.empty(lv.grid.cells))
+        return levels
 
 
 _local = threading.local()

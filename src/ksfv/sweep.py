@@ -1,16 +1,17 @@
 """Phase-diagram sweeps over (m, q) with bounded/blow-up classification.
 
 Each grid point runs the same template configuration with its own exponent
-pair.  Points are independent jobs; results are merged by grid index, so
-the outcome is identical for any worker count and completion order.
-Individual job failures are recorded per point and do not abort the sweep.
+pair; SweepConfig builds and checks every point's config at parse time.
+Points are independent jobs, and their results come back in grid order
+whatever the worker count and completion order.  A job that fails when it
+runs is recorded at its point and does not abort the sweep.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import RunConfig, SweepConfig
 from .diagnostics import DiagnosticsTracker, analytic_exponents
@@ -76,11 +77,10 @@ def _max_ratio_s14(records) -> float | None:
 
 
 def _sweep_point(args) -> dict:
-    i, j, m, q, template = args
-    point = {"i": i, "j": j, "m": m, "q": q}
+    i, j, cfg = args
+    point = {"i": i, "j": j, "m": cfg.model.m, "q": cfg.model.q}
     try:
-        cfg = replace(template, model=replace(template.model, m=m, q=q))
-        N, _, _ = analytic_exponents(cfg.model, cfg.diagnostics)
+        N, _, _ = analytic_exponents(cfg.model, cfg.diagnostics, cfg.grid.dim)
         regime = classify_regime(cfg.model, N)
         result, _ = execute_run(cfg)
         verdict = classify_run(result, cfg.thresholds.bounded_multiple)
@@ -114,26 +114,11 @@ class SweepResult:
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Execute all (m, q) jobs, merging results by grid index.
-
-    The merge is keyed, so worker count and completion order cannot change
-    the result.
-    """
-    jobs = [(i, j, m, q, cfg.template)
-            for i, m in enumerate(cfg.m_grid)
-            for j, q in enumerate(cfg.q_grid)]
-
-    merged: dict[tuple[int, int], dict] = {}
+    """Execute the job of every point of cfg.points, in a pool of cfg.workers
+    processes when there are more than one.  pool.map returns the results in
+    submission order, so worker count and completion order cannot change the
+    result."""
     if cfg.workers == 1:
-        for job in jobs:
-            pt = _sweep_point(job)
-            merged[(pt["i"], pt["j"])] = pt
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for pt in pool.map(_sweep_point, jobs):
-                merged[(pt["i"], pt["j"])] = pt
-
-    ordered = tuple(merged[(i, j)]
-                    for i in range(len(cfg.m_grid))
-                    for j in range(len(cfg.q_grid)))
-    return SweepResult(config=cfg, points=ordered)
+        return SweepResult(config=cfg, points=tuple(map(_sweep_point, cfg.points)))
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        return SweepResult(config=cfg, points=tuple(pool.map(_sweep_point, cfg.points)))

@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ksfv import solver
+from ksfv import solver, sweep
 from ksfv.cli import main as cli_main
 from ksfv.config import (ConfigError, RunConfig, SweepConfig, parse_config,
                          run_config_to_dict, sweep_config_to_dict)
-from ksfv.diagnostics import ladder_for_run
+from ksfv.diagnostics import DiagnosticsConfig, ladder_for_run
 from ksfv.outputs import (LADDER_CSV, METADATA_JSON, RUN_CSV, SERIES_FIELDS_NPY,
                           SERIES_TIMES_NPY, SWEEP_JSON, emit_run_outputs, read_run_csv,
                           run_csv_header, write_sweep_json)
@@ -149,6 +149,19 @@ def _sweep_template(**overrides):
     return doc
 
 
+def fail_point_at_m(monkeypatch, m):
+    """Make the job of every sweep point with this m raise when it runs (the
+    sweep at workers = 1 runs its jobs in this process)."""
+    execute = sweep.execute_run
+
+    def execute_run(cfg, *args, **kwargs):
+        if cfg.model.m == m:
+            raise RuntimeError("sabotaged point")
+        return execute(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "execute_run", execute_run)
+
+
 # Documents that must fail at parse time, not when their job runs, each
 # with the start of the path-qualified error it must produce.
 MALFORMED = [
@@ -203,6 +216,12 @@ MALFORMED = [
                  "initial: seed must be >= 0", id="seed-negative"),
     pytest.param(_sweep_template(initial={"preset": "random-nonneg"}, seed=-1),
                  "template.initial: seed must be >= 0", id="template-seed-negative"),
+    # a grid point is checked as it is built, at parse time, not when its job runs
+    pytest.param(small_sweep_doc(m_grid=(-1.0, 2.0)),
+                 "sweep: m must be > 0, got -1.0", id="sweep-point-m-negative"),
+    pytest.param({**_sweep_template(diagnostics={"s": 1}), "m_grid": [1.0, 4.0]},
+                 "sweep: diagnostics.s=1 violates s > max(0, m - 2q) at m=4.0, q=1.0",
+                 id="sweep-point-s"),
 ]
 
 
@@ -314,10 +333,10 @@ class TestSweep:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_job_failure_recorded_not_fatal(self):
+    def test_job_failure_recorded_not_fatal(self, monkeypatch):
         doc = small_sweep_doc(m_grid=(1.0, 2.0), q_grid=(1.0,))
-        # sabotage one point with an exponent the model rejects
-        doc["m_grid"] = [-1.0, 2.0]
+        # sabotage one point with a job that raises when it runs
+        fail_point_at_m(monkeypatch, 1.0)
         cfg = parse_config(json.dumps(doc))
         result = run_sweep(cfg)
         assert len(result.points) == 2
@@ -491,9 +510,9 @@ class TestCli:
         assert err.startswith("solver failed: conjugate gradients failed to converge in 1 ")
         assert err.count("\n") == 1
 
-    def test_sweep_command_and_failure_exit(self, tmp_path):
+    def test_sweep_command_and_failure_exit(self, tmp_path, monkeypatch):
         doc = small_sweep_doc()
-        doc["m_grid"] = [-1.0, 2.0]
+        fail_point_at_m(monkeypatch, 1.0)
         cfg_path = self.write_config(tmp_path, doc)
         code = cli_main(["sweep", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
@@ -510,6 +529,40 @@ class TestCli:
             assert code == 0
             outs.append((out / SWEEP_JSON).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_sweep_seed_override(self, tmp_path):
+        # --seed replaces the template's seed, which the sweep echoes
+        doc = small_sweep_doc(m_grid=(2.0,))
+        doc["template"]["initial"] = {"preset": "random-nonneg", "low": 0.1, "high": 1.0}
+        cfg_path = self.write_config(tmp_path, doc)
+        code = cli_main(["sweep", cfg_path, "--out", str(tmp_path / "o"), "--seed", "7"])
+        assert code == 0
+        saved = json.loads((tmp_path / "o" / SWEEP_JSON).read_text())
+        assert saved["config"]["template"]["seed"] == 7
+
+    def test_sweep_seed_override_validated(self, tmp_path, capsys):
+        doc = small_sweep_doc()
+        doc["template"]["initial"] = {"preset": "random-nonneg"}
+        cfg_path = self.write_config(tmp_path, doc)
+        self.expect_invalid(capsys, ["sweep", cfg_path, "--out", str(tmp_path / "o"),
+                                     "--seed", "-1"], "template.initial: seed must be >= 0")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_missing_config_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, str(path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"config file not found: {path}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_ladder_without_metadata_exits_1(self, tmp_path, capsys):
+        assert cli_main(["ladder", str(tmp_path), "--K", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"no run metadata found in {tmp_path}\n"
+        assert not (tmp_path / "ladder_custom.csv").exists()
 
     def expect_invalid(self, capsys, argv, error):
         with pytest.raises(SystemExit) as exc:
@@ -631,6 +684,14 @@ class TestCli:
         assert code == 0
         lines = (out_dir / "ladder_custom.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 5
+
+    def test_ladder_n_max_default_is_the_config_default(self, tmp_path):
+        cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
+        assert cli_main(["ladder", str(out_dir), "--K", "2.0"]) == 0
+        lines = (out_dir / "ladder_custom.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + DiagnosticsConfig().ladder_n_max + 1
 
     def rebuild_run_ladder(self, tmp_path, edit_metadata=None):
         """Run a small document on a non-square grid, let edit_metadata

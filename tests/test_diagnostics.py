@@ -49,7 +49,7 @@ class TestTracker:
         assert rec.energy_s == pytest.approx(4.0)  # integral of u^2
 
     def test_default_s_and_p(self):
-        params = ModelParams(m=2.0, q=1.0, dim=2)
+        params = ModelParams(m=2.0, q=1.0)
         tracker = DiagnosticsTracker(params, DiagnosticsConfig(), constant_field(unit_square(), 0.0))
         assert tracker.s == default_s(2.0, 1.0, 2)
         assert tracker.p_fr1 == 4.0  # N + 2 at N = 2
@@ -210,14 +210,14 @@ class TestConfigValidation:
             DiagnosticsConfig(p_list=(0.5,))
 
     def test_rejects_s_below_constraint(self):
-        params = ModelParams(m=3.0, q=0.5, dim=2)
+        params = ModelParams(m=3.0, q=0.5)
         # m - 2q = 2, so s = 1 is inadmissible
         with pytest.raises(ValueError):
             DiagnosticsTracker(params, DiagnosticsConfig(s=1),
                                constant_field(unit_square(), 0.0))
 
     def test_rejects_small_p_fr1(self):
-        params = ModelParams(m=2.0, q=1.0, dim=2)
+        params = ModelParams(m=2.0, q=1.0)
         with pytest.raises(ValueError):
             DiagnosticsTracker(params, DiagnosticsConfig(p_fr1=1.5),
                                constant_field(unit_square(), 0.0))

@@ -101,6 +101,4 @@ class TestInitialData:
         g = unit_square(4)
         from ksfv.grid import Field, constant_field
         with pytest.raises(ValueError):
-            InitialData(preset="constant",
-                        u0=Field(g, np.full((4, 4), -1.0)),
-                        v0=constant_field(g, 0.0))
+            InitialData(u0=Field(g, np.full((4, 4), -1.0)), v0=constant_field(g, 0.0))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +12,7 @@ from ksfv.grid import (Field, GridSpec, _Laplacian, constant_field, face_gradien
                        grad_square_integral, integrate, lp_norm, second_difference_sup)
 from ksfv.model import CRITICAL_MASS_2D, InitialData, ModelParams, make_initial_data
 from ksfv.solver import (DT_COLLAPSED, MAX_STEPS, NONFINITE, REACHED_T,
-                         SUP_THRESHOLD, SimState, StepControl, _cg, _Potential,
+                         SUP_THRESHOLD, WALL_BUDGET, SimState, StepControl, _cg, _Potential,
                          _ShiftedLaplaceInverse, _StepWork, _power, advance_v, run,
                          step)
 
@@ -178,7 +180,7 @@ class TestComputeDt:
                            0.11869262140858404, 0.9444052957502216])
         v_vals = np.array([17.685931494726958, 11.790620996484638, 5.895310498242321,
                            0.0, 5.895310498242321])
-        params = ModelParams(m=1.5, q=1.0, sigma=0.0, dim=1)
+        params = ModelParams(m=1.5, q=1.0, sigma=0.0)
         ctrl = StepControl(safety=1.0)
         st = state_from(u_vals, v_vals, g)
         work = _StepWork(st.u, st.v, params)
@@ -214,7 +216,7 @@ class TestComputeDt:
                 v = scale * rng.uniform(0.0, 1.0, cells)
             params = ModelParams(m=float(rng.choice([1.0, 1.5, 2.5])),
                                  q=float(rng.choice([1.0, rng.uniform(0.25, 2.0)])),
-                                 sigma=0.0, dim=dim)
+                                 sigma=0.0)
             safety = float(rng.choice([1.0, 0.4, rng.uniform(0.1, 1.0)]))
             work = _StepWork(Field(g, u), Field(g, v), params)
             dt = work.dt(StepControl(safety=safety, dt_max=1e3))
@@ -257,7 +259,7 @@ class TestFluxUpdate:
         # keeps every cell nonnegative and the mass of r
         g = grid1d(3, 3.0)  # h = 1
         st = state_from(np.ones(3), np.zeros(3), g)
-        work = _StepWork(st.u, st.v, ModelParams(m=1.0, q=1.0, dim=1))
+        work = _StepWork(st.u, st.v, ModelParams(m=1.0, q=1.0))
         r = np.array([1.0, 1e-12, 1.0])
         w = np.array([0.0, 1.0, 0.0])
         u1 = work.flux_update(r, w, work.lap(w, np.empty(3)), 1.0)
@@ -1065,7 +1067,7 @@ class TestStep:
         dt = 2.5e-7
         steps = round(T / dt)
 
-        params = ModelParams(m=1.0, q=1.0, sigma=0.0, dim=1, chemotaxis=False)
+        params = ModelParams(m=1.0, q=1.0, sigma=0.0, chemotaxis=False)
         ctrl = StepControl(dt_fixed=dt, dt_min=1e-16)
         st = state_from(u0, np.zeros(n), g)
         for _ in range(steps):
@@ -1084,10 +1086,32 @@ class TestStep:
         u_vals[3] = 1e130
         u_vals[4] = 1e130
         st = state_from(u_vals, np.zeros(8), g)
-        params = ModelParams(m=3.0, q=1.0, sigma=0.0, dim=1)
+        params = ModelParams(m=3.0, q=1.0, sigma=0.0)
         ctrl = StepControl(dt_min=1e-280, dt_max=1.0)
         out = step(st, params, ctrl)
         assert out.stop == NONFINITE
+
+    @pytest.mark.parametrize("m, halvings, corrections", [(1.0, 4, 121), (2.0, 3, 92)])
+    def test_unconverged_diffusion_retried_at_half_dt(self, m, halvings, corrections):
+        # a smooth state and dt_max = 1e3: at the first dt (about 1e2) the
+        # residual's rounding exceeds v_solve_tol, so the diffusion solve
+        # gives up after _MAX_CORRECTIONS and step() halves dt until it
+        # converges; every retry keeps mass and sign
+        g = grid1d(200)
+        u0 = 1.0 + 1e-4 * np.cos(math.pi * g.cell_centers(0))
+        st = state_from(u0, np.zeros(200), g)
+        params = ModelParams(m=m, q=1.0, chemotaxis=False)
+        ctrl = StepControl(dt_max=1e3)
+        work = _StepWork(st.u, st.v, params)
+        dt = work.dt(ctrl)
+        w, lw, k, _ = work.diffusion_update(work.chemotaxis_update(dt), dt, ctrl)
+        assert (w, lw, k) == (None, None, solver._MAX_CORRECTIONS)
+        out = step(st, params, ctrl)
+        assert out.stop is None
+        assert out.dt_used == dt / 2 ** halvings
+        assert out.newton_corrections == corrections
+        assert abs(integrate(out.state.u) - integrate(st.u)) <= 1e-14 * integrate(st.u)
+        assert out.state.u.min() >= 0.0
 
     def test_dt_collapse_flag(self):
         g = grid2d(16)
@@ -1103,8 +1127,7 @@ class TestStep:
 class TestRun:
     def steady_initial(self, n=12):
         g = grid2d(n)
-        return InitialData(preset="constant",
-                           u0=constant_field(g, 1.0), v0=constant_field(g, 1.0))
+        return InitialData(u0=constant_field(g, 1.0), v0=constant_field(g, 1.0))
 
     def test_steady_run_reaches_horizon(self):
         init = self.steady_initial()
@@ -1129,8 +1152,7 @@ class TestRun:
         g = grid2d(16)
         xs = g.cell_centers(0)
         v_vals = np.exp(-((xs[:, None] - 0.5) ** 2 + (xs[None, :] - 0.5) ** 2) / 0.05)
-        init = InitialData(preset="custom", u0=constant_field(g, 1.0),
-                           v0=Field(g, v_vals))
+        init = InitialData(u0=constant_field(g, 1.0), v0=Field(g, v_vals))
         params = ModelParams(m=1.0, q=1.0, sigma=0.0)
         res = run(init, params, StepControl(), horizon=1.0, samples=3,
                   sup_threshold_multiple=1.0 + 1e-4)
@@ -1155,12 +1177,23 @@ class TestRun:
         u_vals = np.full(8, 1.0)
         u_vals[3] = 1e130
         u_vals[4] = 1e130
-        init = InitialData(preset="custom", u0=Field(g, u_vals),
-                           v0=constant_field(g, 0.0))
-        params = ModelParams(m=3.0, q=1.0, sigma=0.0, dim=1)
+        init = InitialData(u0=Field(g, u_vals), v0=constant_field(g, 0.0))
+        params = ModelParams(m=3.0, q=1.0, sigma=0.0)
         res = run(init, params, StepControl(dt_min=1e-280, dt_max=1.0),
                   horizon=1.0, samples=2)
         assert res.termination == NONFINITE
+
+    def test_wall_budget_termination(self, monkeypatch):
+        # a clock that advances 1 s per reading: run() reads it once at the
+        # start and once before each step, so a 2.5 s budget ends the run
+        # before its third step
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+        res = run(self.steady_initial(), ModelParams(m=2.0, q=1.0, sigma=1e-3),
+                  StepControl(), horizon=10.0, samples=2, wall_clock_budget=2.5)
+        assert res.termination == WALL_BUDGET
+        assert res.steps == 2
+        assert res.sample_times[-1] == res.final_state.t < 10.0
 
     def test_blowup_time_insensitive_to_safety(self):
         # the (1,1) bump of criterion 5 (mass 1.5 x 8pi, width 0.08,
