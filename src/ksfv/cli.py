@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, SweepConfig, _convert, parse_config
-from .diagnostics import DiagnosticsConfig, build_ladder, ladder_for_run
+from .diagnostics import _MAX_LADDER_N, DiagnosticsConfig, build_ladder, ladder_for_run
 from .kernels import exponent_ms_qs, self_check
 from .outputs import (SWEEP_JSON, emit_run_outputs, load_series,
                       write_ladder_csv, write_sweep_json)
@@ -30,7 +30,9 @@ from .sweep import execute_run, run_sweep
 
 # Keys that run directories written before their retirement still echo in
 # metadata.json; `ksfv ladder` drops them before parsing the echo.
-_RETIRED_KEYS = (("control", "v_solve_max_iters"), ("diagnostics", "ladder_k_mode"))
+_RETIRED_KEYS = (("control", "v_solve_max_iters"), ("control", "dt_fixed"),
+                 ("diagnostics", "ladder_k_mode"), ("diagnostics", "N"),
+                 ("initial", "center"))
 
 
 def _load_config(text: str, kind, **overrides):
@@ -140,6 +142,8 @@ def _cmd_ladder(args) -> int:
         return _invalid_option(f"--K must be finite and > 0, got {args.K}")
     if args.n_max < 0:
         return _invalid_option(f"--n-max must be >= 0, got {args.n_max}")
+    if args.n_max > _MAX_LADDER_N:
+        return _invalid_option(f"--n-max must be <= {_MAX_LADDER_N}, got {args.n_max}")
     run_dir = Path(args.run_dir)
     meta_path = run_dir / "metadata.json"
     if not meta_path.exists():

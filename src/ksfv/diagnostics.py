@@ -26,6 +26,11 @@ from .model import ModelParams
 from .solver import SimState
 
 
+# The deepest ladder level n: K - K / 2^(n+1) repeats the level before it at
+# n = 52 for about half the K of a binade, and rounds to K from n = 53.
+_MAX_LADDER_N = 51
+
+
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     p_list: tuple[float, ...] = (1.0, 2.0, 4.0)
@@ -33,13 +38,13 @@ class DiagnosticsConfig:
     ladder_k_value: float = 0.5   # the ladder's K, as a multiple of the run's peak sup u
     s: int | None = None          # None: smallest admissible integer
     p_fr1: float | None = None    # None: N + 2 (must exceed (N+2)/2)
-    N: int | None = None          # analytic dimension; None: max(grid dim, 2)
 
     def __post_init__(self):
-        if self.N is not None and self.N < 2:
-            raise ValueError(f"analytic dimension N must be >= 2, got {self.N}")
         if self.ladder_n_max < 0:
             raise ValueError(f"ladder_n_max must be >= 0, got {self.ladder_n_max}")
+        if self.ladder_n_max > _MAX_LADDER_N:
+            raise ValueError(f"ladder_n_max must be <= {_MAX_LADDER_N}, got {self.ladder_n_max}: "
+                             "a deeper level can round to the one before it")
         if any(p < 1 for p in self.p_list):
             raise ValueError("every p in p_list must be >= 1")
         if self.ladder_k_value <= 0:
@@ -62,13 +67,13 @@ class DiagnosticsRecord:
 
 def analytic_exponents(params: ModelParams, config: DiagnosticsConfig, dim: int
                        ) -> tuple[int, int, float]:
-    """The analytic dimension N and the exponents s and p_fr1 on a grid of
-    dimension dim, defaulting to max(dim, 2), the smallest admissible
-    integer s and N + 2.
+    """The analytic dimension N = max(dim, 2) of a grid of dimension dim, and
+    the exponents s and p_fr1, defaulting to the smallest admissible integer
+    s and N + 2.
 
     Raises ValueError unless s > max(0, m - 2q) and p_fr1 > (N+2)/2.
     """
-    N = config.N if config.N is not None else max(dim, 2)
+    N = max(dim, 2)
     s = config.s if config.s is not None else default_s(params.m, params.q, N)
     p_fr1 = config.p_fr1 if config.p_fr1 is not None else float(N + 2)
     if not s > max(0.0, params.m - 2.0 * params.q):

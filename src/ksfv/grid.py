@@ -126,8 +126,7 @@ class _FaceBuffer:
     """One axis of the flat face layout (see the module docstring): `faces`
     holds the face between raveled cells k and k + st at k, `plus` and
     `minus` are each cell's +axis and -axis face (a zero border past the
-    ends), `interior` the interior faces, one fewer along the axis, and
-    `padded` the faces with both zero borders."""
+    ends), and `padded` the faces with both zero borders."""
 
     def __init__(self, grid: GridSpec, axis: int):
         n, n1 = grid.num_cells, grid.cells[-1]
@@ -136,7 +135,6 @@ class _FaceBuffer:
         self.faces = buf[st:n]
         self.plus = buf[st:].reshape(grid.cells)
         self.minus = buf[:n].reshape(grid.cells)
-        self.interior = self.plus[(slice(None),) * axis + (slice(-1),)]
         self.wrap = slice(n1 - 1, None, n1) if axis else slice(0)
 
     def diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

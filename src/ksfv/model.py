@@ -13,6 +13,7 @@ preserved and 0^m = 0 for m > 0).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,12 +87,11 @@ class InitialSpec:
     high: float = 1.0
     v0_preset: str = "constant"
     v0_value: float = 0.0
-    center: tuple[float, ...] | None = None
     centers: tuple[tuple[float, ...], ...] | None = None
 
     def check(self, grid: GridSpec, seed: int) -> None:
         """Raise ValueError unless these data can be built on grid: the values
-        the preset reads, and any `center` or `centers` given."""
+        the preset reads, and any `centers` given."""
         preset = self.preset
         if preset not in ("constant", "gaussian-bump", "two-bumps", "random-nonneg"):
             raise ValueError(f"unknown preset {preset!r}")
@@ -105,8 +105,8 @@ class InitialSpec:
                                  f"({2.0 * max(grid.spacing)})")
         if self.centers is not None and len(self.centers) == 0:
             raise ValueError("centers must name at least one point")
-        for c in [self.center, *(self.centers or ())]:
-            if c is not None and len(c) != grid.dim:
+        for c in self.centers or ():
+            if len(c) != grid.dim:
                 raise ValueError(f"center {list(c)} needs {grid.dim} coordinates")
         if preset == "random-nonneg":
             if self.low < 0 or self.high <= self.low:
@@ -120,9 +120,7 @@ class InitialSpec:
 
 
 def _gaussian_values(grid: GridSpec, mass: float, width: float,
-                     center: tuple[float, ...] | None) -> np.ndarray:
-    if center is None:
-        center = tuple(L / 2.0 for L in grid.extent)
+                     center: tuple[float, ...]) -> np.ndarray:
     r2 = np.zeros(grid.cells)
     for axis in range(grid.dim):
         x = grid.cell_centers(axis) - center[axis]
@@ -141,8 +139,11 @@ def make_initial_data(grid: GridSpec, preset: str, *, seed: int = 0,
 
     Presets for u0:
       constant       - u0 = value everywhere
-      gaussian-bump  - normalized bump with total integral exactly `mass`
-      two-bumps      - two bumps sharing `mass` equally
+      gaussian-bump  - normalized bumps at `centers` (default: the box
+                       centre) sharing `mass` equally; one bump has
+                       integral exactly `mass`
+      two-bumps      - the same, with default centres at 0.3 and 0.7 of
+                       each axis
       random-nonneg  - seeded uniform values in [low, high)
     v0 is a constant field (v0_value) unless v0_preset = "match", which
     copies u0.
@@ -151,17 +152,12 @@ def make_initial_data(grid: GridSpec, preset: str, *, seed: int = 0,
     spec.check(grid, seed)
     if preset == "constant":
         u0 = constant_field(grid, spec.value)
-    elif preset == "gaussian-bump":
-        u0 = Field(grid, _gaussian_values(grid, spec.mass, spec.width, spec.center))
-    elif preset == "two-bumps":
-        centers = spec.centers
-        if centers is None:
-            centers = [tuple(0.3 * L for L in grid.extent),
-                       tuple(0.7 * L for L in grid.extent)]
-        vals = np.zeros(grid.cells)
-        for c in centers:
-            vals += _gaussian_values(grid, spec.mass / len(centers), spec.width, tuple(c))
-        u0 = Field(grid, vals)
+    elif preset in ("gaussian-bump", "two-bumps"):
+        default = (0.5,) if preset == "gaussian-bump" else (0.3, 0.7)
+        centers = spec.centers or [tuple(a * L for L in grid.extent) for a in default]
+        bumps = (_gaussian_values(grid, spec.mass / len(centers), spec.width, c)
+                 for c in centers)
+        u0 = Field(grid, functools.reduce(np.add, bumps))
     else:
         rng = np.random.default_rng(seed)
         u0 = Field(grid, rng.uniform(spec.low, spec.high, size=grid.cells))

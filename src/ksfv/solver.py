@@ -75,7 +75,8 @@ is safety * min(chemotactic outflow bound, accuracy bound, dt_max).  The
 outflow bound min_i u_i / out_rate_i keeps each cell's outgoing chemotactic
 flux * dt within safety times its content (see _StepWork.dt_advection), and
 the accuracy bound lets one step change sup u by at most the fraction
-safety / (2 dim) at the pre-step rate.
+safety / (2 dim) at the pre-step rate.  At safety = 1, dt_max is a fixed
+step wherever both bounds stay above it.
 
 Every grid-sized array a step writes and then discards lives in its grid's
 workspace (_Workspace: one per grid and thread, built at the grid's first
@@ -116,15 +117,15 @@ class StepControl:
     dt_max: float = 0.1
     v_solve_tol: float = 1e-10
     max_steps: int = 50_000_000
-    dt_fixed: float | None = None   # capped at the outflow and accuracy bounds when set
 
     def __post_init__(self):
         if not 0.0 < self.safety <= 1.0:
             raise ValueError(f"safety must be in (0, 1], got {self.safety}")
-        if not 0.0 < self.dt_min < self.dt_max:
-            raise ValueError(f"need 0 < dt_min < dt_max, got {self.dt_min}, {self.dt_max}")
-        if self.dt_fixed is not None and not self.dt_fixed > 0.0:
-            raise ValueError(f"dt_fixed must be > 0, got {self.dt_fixed}")
+        if not self.dt_min > 0.0:
+            raise ValueError(f"dt_min must be > 0, got {self.dt_min}")
+        if self.dt_min > self.safety * self.dt_max:
+            raise ValueError(f"dt_min {self.dt_min} exceeds safety * dt_max = "
+                             f"{self.safety * self.dt_max:g}, so every step would collapse")
         if not self.v_solve_tol > 0.0:
             raise ValueError(f"v_solve_tol must be > 0, got {self.v_solve_tol}")
         if self.max_steps < 1:
@@ -563,11 +564,7 @@ class _StepWork:
         return self.u.max() / (2.0 * self.grid.dim * self.rate_max)
 
     def dt(self, ctrl: StepControl) -> float:
-        dt = ctrl.safety * min(self.dt_advection(), self.dt_accuracy(), ctrl.dt_max)
-        if ctrl.dt_fixed is not None:
-            # Fixed steps are for convergence studies; never exceed the bounds.
-            dt = min(ctrl.dt_fixed, dt)
-        return dt
+        return ctrl.safety * min(self.dt_advection(), self.dt_accuracy(), ctrl.dt_max)
 
     def chemotaxis_update(self, dt: float) -> np.ndarray:
         """Conservative explicit chemotaxis update: outgoing mass is removed,
@@ -796,15 +793,16 @@ class RunResult:
 
 
 def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
-        horizon: float, samples: int = 11, tracker=None,
-        sup_threshold_multiple: float = 1e4,
-        wall_clock_budget: float | None = None) -> RunResult:
+        horizon: float, samples: int, *, sup_threshold_multiple: float,
+        tracker=None, wall_clock_budget: float | None = None) -> RunResult:
     """Integrate from the initial data to time `horizon` or a stop reason.
 
     Diagnostics records are emitted at `samples` evenly spaced times
     (including t = 0 and the final state); the sampled u fields are kept
     for level-set post-processing.  Termination reasons: reached_T,
-    dt_collapsed, nonfinite, sup_threshold, max_steps, wall_budget.
+    dt_collapsed, nonfinite, sup_threshold (sup u above
+    sup_threshold_multiple times its initial value), max_steps,
+    wall_budget.
 
     Per-step monitors: running sup of u and of |grad v| (both cheap), plus
     the comparison check sup v <= max(sup v0, running sup u); the worst

@@ -233,7 +233,7 @@ def test_criterion_4_linear_diffusion_oracle():
     v = rng.uniform(0.0, 0.5, n)
     dt = 1e-4
     params = ModelParams(m=1.0, q=1.0, sigma=1e-3, chemotaxis=False)
-    ctrl = StepControl(dt_fixed=dt, v_solve_tol=1e-12)
+    ctrl = StepControl(safety=1.0, dt_max=dt, v_solve_tol=1e-12)
     st = SimState(u=Field(g, u), v=Field(g, v), t=0.0, step=0)
     uu, vv = u.copy(), v.copy()
     A = (1 + dt) * np.eye(n) - dt * L
@@ -270,7 +270,7 @@ def test_criterion_4_linear_diffusion_oracle():
                       v=Field(gg, 0.5 + 0.2 * np.cos(math.pi * x)),
                       t=0.0, step=0)
         pr = ModelParams(m=1.0, q=1.0, sigma=1e-3)
-        cr = StepControl(dt_fixed=dt_run, v_solve_tol=1e-13)
+        cr = StepControl(safety=1.0, dt_max=dt_run, v_solve_tol=1e-13)
         while s0.t < 4e-3 - 1e-15:
             s0 = step(s0, pr, cr).state
         return s0.u.values

@@ -113,13 +113,11 @@ class TestParseConfig:
                    for e in exc.value.errors)
 
     def test_optional_numbers_parsed(self):
-        doc = small_run_doc(control={"dt_fixed": 1e-4},
-                            diagnostics={"s": 3, "p_fr1": 5.0, "N": 2})
+        doc = small_run_doc(diagnostics={"s": 3, "p_fr1": 5.0})
         cfg = parse_config(json.dumps(doc))
-        assert cfg.control.dt_fixed == 1e-4
-        assert (cfg.diagnostics.s, cfg.diagnostics.p_fr1, cfg.diagnostics.N) == (3, 5.0, 2)
+        assert (cfg.diagnostics.s, cfg.diagnostics.p_fr1) == (3, 5.0)
         assert parse_config(json.dumps(run_config_to_dict(cfg))) == cfg
-        for initial in ({"preset": "gaussian-bump", "width": 0.3, "center": [0.25, 0.5]},
+        for initial in ({"preset": "gaussian-bump", "width": 0.3, "centers": [[0.25, 0.5]]},
                         {"preset": "two-bumps", "width": 0.3,
                          "centers": [[0.25, 0.5], [0.75, 0.5], [0.5, 0.25]]}):
             cfg = parse_config(json.dumps(small_run_doc(initial=initial)))
@@ -165,17 +163,17 @@ def fail_point_at_m(monkeypatch, m):
 # Documents that must fail at parse time, not when their job runs, each
 # with the start of the path-qualified error it must produce.
 MALFORMED = [
-    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "center": 5}),
-                 "initial.center: expected a list", id="center-scalar"),
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "centers": 5}),
+                 "initial.centers: expected a list", id="center-scalar"),
     pytest.param(small_run_doc(initial={"preset": "two-bumps", "centers": [1, 2]}),
                  "initial.centers[0]: expected a list", id="centers-flat"),
     pytest.param(_sweep_template(model="x"),
                  "template.model: expected an object", id="template-model-string"),
     pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]},
-                               initial={"preset": "gaussian-bump", "center": [0.5]}),
+                               initial={"preset": "gaussian-bump", "centers": [[0.5]]}),
                  "initial: center [0.5] needs 2 coordinates", id="center-1d-on-2d"),
-    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "center": ["a", "b"]}),
-                 "initial.center[0]: expected a finite number", id="center-strings"),
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "centers": [["a", "b"]]}),
+                 "initial.centers[0][0]: expected a finite number", id="center-strings"),
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "width": 0.1}),
                  "initial: width 0.1 under-resolved", id="width-under-resolved"),
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "mass": -1, "width": 0.3}),
@@ -184,22 +182,28 @@ MALFORMED = [
                  "initial: unknown v0 preset", id="v0-preset-unknown"),
     pytest.param(small_run_doc(grid={"dim": 2, "cells": [16, True]}),
                  "grid.cells[1]: expected an integer", id="cells-bool"),
-    pytest.param(small_run_doc(control={"dt_fixed": -1}),
-                 "control: dt_fixed must be > 0", id="dt-fixed-negative"),
-    pytest.param(small_run_doc(control={"dt_fixed": 0}),
-                 "control: dt_fixed must be > 0", id="dt-fixed-zero"),
     pytest.param(small_run_doc(control={"v_solve_tol": 0}),
                  "control: v_solve_tol must be > 0", id="v-solve-tol-zero"),
     pytest.param(small_run_doc(control={"max_steps": 0}),
                  "control: max_steps must be >= 1", id="max-steps-zero"),
-    # retired keys: the CG cap is a solver constant, and a fixed-K ladder
-    # is what `ksfv ladder --K` builds
+    # retired keys, at any value: the CG cap is a solver constant, a fixed-K
+    # ladder is what `ksfv ladder --K` builds, a fixed step is `safety: 1`
+    # with the step as `dt_max`, the analytic dimension is the grid's (at
+    # least 2), and a bump's centre is an entry of `centers`
     pytest.param(small_run_doc(control={"v_solve_max_iters": 1}),
                  "control.v_solve_max_iters: unknown key", id="retired-v-solve-max-iters"),
     pytest.param(small_run_doc(diagnostics={"ladder_k_mode": "fixed"}),
                  "diagnostics.ladder_k_mode: unknown key", id="retired-ladder-k-mode"),
+    pytest.param(small_run_doc(control={"dt_fixed": -1}),
+                 "control.dt_fixed: unknown key", id="dt-fixed-negative"),
+    pytest.param(small_run_doc(control={"dt_fixed": 0}),
+                 "control.dt_fixed: unknown key", id="dt-fixed-zero"),
+    pytest.param(small_run_doc(control={"dt_min": 1e-5, "dt_fixed": 1e-6}),
+                 "control.dt_fixed: unknown key", id="dt-fixed-below-dt-min"),
     pytest.param(small_run_doc(diagnostics={"N": 1}),
-                 "diagnostics: analytic dimension N must be >= 2", id="N-1"),
+                 "diagnostics.N: unknown key", id="N-1"),
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "center": [0.5, 0.5]}),
+                 "initial.center: unknown key", id="retired-center"),
     pytest.param(small_run_doc(diagnostics={"s": 0}),
                  "run: diagnostics.s=0 violates s > max(0, m - 2q)", id="s-0"),
     pytest.param(_sweep_template(diagnostics={"s": 0}),
@@ -208,10 +212,12 @@ MALFORMED = [
                  "run: diagnostics.p_fr1 must exceed (N+2)/2", id="p-fr1-small"),
     pytest.param(small_run_doc(diagnostics={"ladder_n_max": -2}),
                  "diagnostics: ladder_n_max must be >= 0", id="ladder-n-max-negative"),
+    # from n = 52 a ladder level can round to the one before it, which
+    # would fail the run after it finished
+    pytest.param(small_run_doc(diagnostics={"ladder_n_max": 52}),
+                 "diagnostics: ladder_n_max must be <= 51, got 52", id="ladder-n-max-52"),
     pytest.param(small_run_doc(control={"dt_min": 0.05}),
-                 "run: control.dt_min 0.05 exceeds safety * dt_max", id="dt-min-collapses"),
-    pytest.param(small_run_doc(control={"dt_min": 1e-5, "dt_fixed": 1e-6}),
-                 "run: control.dt_fixed 1e-06 is below dt_min", id="dt-fixed-below-dt-min"),
+                 "control: dt_min 0.05 exceeds safety * dt_max", id="dt-min-collapses"),
     pytest.param(small_run_doc(initial={"preset": "random-nonneg"}, seed=-1),
                  "initial: seed must be >= 0", id="seed-negative"),
     pytest.param(_sweep_template(initial={"preset": "random-nonneg"}, seed=-1),
@@ -315,12 +321,11 @@ class TestSweep:
 
     def test_regime_uses_analytic_dimension(self):
         # at (m, q) = (0.35, 0.5) the H4 lower edge q + (q-1)/(N+1) is 0.333
-        # at N = 2 and 0.375 at N = 3: a set diagnostics.N decides the regime
+        # at N = 2 and 0.375 at N = 3: a 2-D grid's N = 2 puts it in H4
         doc = small_sweep_doc(m_grid=(0.35,), q_grid=(0.5,))
-        doc["template"]["diagnostics"] = {"N": 3}
         (pt,) = run_sweep(parse_config(json.dumps(doc))).points
         assert pt["error"] is None
-        assert pt["regime"] == "Outside"
+        assert pt["regime"] == "H4"
 
     def test_worker_counts_agree_byte_for_byte(self, tmp_path):
         doc = small_sweep_doc(m_grid=(1.0, 2.0), q_grid=(0.5, 1.0))
@@ -480,8 +485,7 @@ class TestCli:
             cli_main(["run", cfg_path, "--out", str(tmp_path / "o")])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("section,key", [("control", "dt_fixed"), ("diagnostics", "s"),
-                                             ("diagnostics", "p_fr1"), ("diagnostics", "N")])
+    @pytest.mark.parametrize("section,key", [("diagnostics", "s"), ("diagnostics", "p_fr1")])
     def test_non_number_exits_1(self, tmp_path, capsys, section, key):
         cfg_path = self.write_config(tmp_path, small_run_doc(**{section: {key: "x"}}))
         with pytest.raises(SystemExit) as exc:
@@ -665,7 +669,8 @@ class TestCli:
         ("--K", "nan", "--K must be finite and > 0, got nan"),
         ("--K", "-1", "--K must be finite and > 0, got -1.0"),
         ("--n-max", "-1", "--n-max must be >= 0, got -1"),
-    ], ids=["K-nan", "K-negative", "n-max-negative"])
+        ("--n-max", "52", "--n-max must be <= 51, got 52"),
+    ], ids=["K-nan", "K-negative", "n-max-negative", "n-max-52"])
     def test_ladder_bad_option_exit_1(self, tmp_path, capsys, option, value, error):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
         out_dir = tmp_path / "out"
@@ -719,11 +724,13 @@ class TestCli:
         assert rebuilt == original
 
     def test_ladder_reads_echo_with_retired_keys(self, tmp_path):
-        # run directories written before control.v_solve_max_iters and
-        # diagnostics.ladder_k_mode were retired still echo both
+        # run directories written before these keys were retired still echo
+        # them (N as the run's N_used)
         def add_retired_keys(meta):
-            meta["config"]["control"]["v_solve_max_iters"] = 20000
-            meta["config"]["diagnostics"]["ladder_k_mode"] = "sup_multiple"
+            meta["config"]["control"].update(v_solve_max_iters=20000, dt_fixed=1e-4)
+            meta["config"]["diagnostics"].update(ladder_k_mode="sup_multiple",
+                                                 N=meta["N_used"])
+            meta["config"]["initial"]["center"] = [0.65, 0.35]
 
         rebuilt, original = self.rebuild_run_ladder(tmp_path, add_retired_keys)
         assert rebuilt == original

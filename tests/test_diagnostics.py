@@ -126,6 +126,21 @@ class TestLadder:
         assert all(b > a for a, b in zip(ks, ks[1:]))
         assert all(4.0 <= k <= 8.0 for k in ks)
 
+    def test_deepest_level_n_max_51(self):
+        # a power-of-two factor on K scales every level exactly, so K across
+        # one binade stands for every normal K: levels 0..51 stay strictly
+        # increasing (DeGiorgiLadder checks it), and for some K a level 52
+        # would repeat level 51
+        rng = np.random.default_rng(89)
+        Ks = [1.0, math.nextafter(2.0, 1.0), *rng.uniform(1.0, 2.0, 300)]
+        one = np.ones((1, 1))
+        repeats = 0
+        for K in Ks:
+            lad = build_ladder([0.0, 1.0], [one, one], 1.0, K=K, n_max=51, m_s=2.0)
+            assert len(lad.levels) == 52 and lad.levels[-1] < K
+            repeats += K - K / 2.0 ** 53 <= lad.levels[-1]
+        assert 0 < repeats < len(Ks)
+
     def test_monotone_energies_and_measures(self):
         rng = np.random.default_rng(79)
         times = [0.0, 0.3, 0.7, 1.0]
@@ -171,7 +186,8 @@ class TestLadderForRun:
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
         cfg = DiagnosticsConfig(ladder_n_max=5, ladder_k_value=0.5)
         tracker = DiagnosticsTracker(params, cfg, init.v0)
-        res = run(init, params, StepControl(), horizon=1e-3, samples=4, tracker=tracker)
+        res = run(init, params, StepControl(), horizon=1e-3, samples=4,
+                  sup_threshold_multiple=math.inf, tracker=tracker)
         lad = ladder_for_run(res.sample_times, res.u_samples, g.cell_volume,
                              params, cfg, res.running_max_sup_u)
         assert lad is not None
@@ -186,7 +202,7 @@ class TestLadderForRun:
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
         tracker = DiagnosticsTracker(params, DiagnosticsConfig(), init.v0)
         res = run(init, params, StepControl(), horizon=1e-3, samples=5,
-                  tracker=tracker)
+                  sup_threshold_multiple=math.inf, tracker=tracker)
         assert res.termination == "reached_T"
         for rec in res.records[1:]:
             assert math.isfinite(rec.ratio_s14)
@@ -197,7 +213,8 @@ class TestLadderForRun:
         init = make_initial_data(g, "constant", value=1.0, v0_preset="match")
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
         tracker = DiagnosticsTracker(params, DiagnosticsConfig(), init.v0)
-        res = run(init, params, StepControl(), horizon=1e-3, samples=3, tracker=tracker)
+        res = run(init, params, StepControl(), horizon=1e-3, samples=3,
+                  sup_threshold_multiple=math.inf, tracker=tracker)
         assert len(res.records) == len(res.sample_times)
         first, last = res.records[0], res.records[-1]
         assert first.mass == pytest.approx(last.mass, rel=1e-12)

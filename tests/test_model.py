@@ -66,6 +66,17 @@ class TestInitialData:
         assert integrate(data.u0) == pytest.approx(2.0, rel=1e-10)
         assert data.u0.min() >= 0.0
 
+    def test_bump_presets_differ_only_in_default_centers(self):
+        # both presets sum bumps at `centers`; only the defaults differ
+        g = unit_square(32)
+
+        def u0(preset, **values):
+            return make_initial_data(g, preset, mass=2.0, width=0.1, **values).u0.values
+
+        assert u0("gaussian-bump").tobytes() == u0("two-bumps", centers=[(0.5, 0.5)]).tobytes()
+        assert u0("two-bumps").tobytes() == \
+            u0("gaussian-bump", centers=[(0.3, 0.3), (0.7, 0.7)]).tobytes()
+
     def test_random_nonneg_reproducible(self):
         a = make_initial_data(unit_square(), "random-nonneg", seed=42)
         b = make_initial_data(unit_square(), "random-nonneg", seed=42)

@@ -32,17 +32,19 @@ def state_from(u_vals, v_vals, grid):
 def diffusive_flux(u, params, axis):
     """-(w_R - w_L)/h on the interior faces along `axis`, w = (u+sigma)^m:
     the potential the step diffuses, differenced by the step's Laplacian and
-    read from the interior-face view of its face buffer."""
+    read from its face buffer (the +axis faces of all but the last cells)."""
     lap = _Laplacian(u.grid)
     lap(_Potential(params).w(u.values), np.empty(u.grid.cells))
-    return -lap.diffs[axis].interior * u.grid.spacing[axis]
+    left, _ = axis_slices(u.grid.dim, axis)
+    return -lap.diffs[axis].plus[left] * u.grid.spacing[axis]
 
 
 def chemotactic_flux(u, v, params, axis):
     """The step's donor-cell face flux along `axis`, interior faces only:
     the face buffer _StepWork assembles it in, read right after."""
     _StepWork(u, v, params)
-    return solver._workspace(u.grid).flux[axis][0].interior.copy()
+    left, _ = axis_slices(u.grid.dim, axis)
+    return solver._workspace(u.grid).flux[axis][0].plus[left].copy()
 
 
 class TestDiffusiveFlux:
@@ -704,7 +706,7 @@ class TestNewtonPreconditioner:
         g = grid2d(128)
         init = make_initial_data(g, "gaussian-bump", mass=1.5 * CRITICAL_MASS_2D, width=0.08)
         res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
-                  horizon=0.05, samples=2)
+                  horizon=0.05, samples=2, sup_threshold_multiple=math.inf)
         assert res.termination == REACHED_T
         assert res.newton_corrections >= res.steps > 5
         assert res.u_solve_iters <= 4 * res.newton_corrections
@@ -716,7 +718,8 @@ class TestNewtonPreconditioner:
         g = grid2d(128)
         init = make_initial_data(g, "gaussian-bump", mass=1.5 * CRITICAL_MASS_2D, width=0.08)
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
-        res = run(init, params, StepControl(), horizon=0.15, samples=2)
+        res = run(init, params, StepControl(), horizon=0.15, samples=2,
+                  sup_threshold_multiple=math.inf)
         assert res.termination == REACHED_T
         outcome = step(res.final_state, params, StepControl())
         assert outcome.stop is None
@@ -948,6 +951,16 @@ class TestAdvanceV:
             advance_v(v, u, 0.5, ctrl)
 
 
+# A 16^2 (2,1) bump at sigma = 0 whose accuracy bound, 2.45e-4, keeps its
+# first dt far below dt_min = 0.01: a run of it collapses on its first step
+COLLAPSE_PARAMS = ModelParams(m=2.0, q=1.0, sigma=0.0)
+COLLAPSE_CTRL = StepControl(dt_min=0.01, dt_max=1.0)
+
+
+def collapsing_bump():
+    return make_initial_data(grid2d(16), "gaussian-bump", mass=1.0, width=0.15)
+
+
 class TestStep:
     def test_exact_steady_state(self):
         g = grid2d(16)
@@ -1068,7 +1081,7 @@ class TestStep:
         steps = round(T / dt)
 
         params = ModelParams(m=1.0, q=1.0, sigma=0.0, chemotaxis=False)
-        ctrl = StepControl(dt_fixed=dt, dt_min=1e-16)
+        ctrl = StepControl(safety=1.0, dt_min=1e-16, dt_max=dt)
         st = state_from(u0, np.zeros(n), g)
         for _ in range(steps):
             out = step(st, params, ctrl)
@@ -1114,14 +1127,21 @@ class TestStep:
         assert out.state.u.min() >= 0.0
 
     def test_dt_collapse_flag(self):
-        g = grid2d(16)
-        st = state_from(np.ones((16, 16)), np.ones((16, 16)), g)
-        params = ModelParams(m=2.0, q=1.0, sigma=0.0)
-        ctrl = StepControl(dt_min=0.5, dt_max=1.0)  # unreachable floor
-        out = step(st, params, ctrl)
+        init = collapsing_bump()
+        st = SimState(u=init.u0, v=init.v0, t=0.0, step=0)
+        work = _StepWork(st.u, st.v, COLLAPSE_PARAMS)
+        assert work.dt_accuracy() == pytest.approx(2.4536e-4, rel=1e-4)
+        out = step(st, COLLAPSE_PARAMS, COLLAPSE_CTRL)
         assert out.stop == DT_COLLAPSED
         assert out.dt_used == 0.0
         assert out.state is st
+
+    def test_collapsing_control_rejected(self):
+        # dt_min above safety * dt_max would collapse every step, whatever the
+        # state; at safety 1 dt_min may equal dt_max, a fixed step
+        with pytest.raises(ValueError, match="every step would collapse"):
+            StepControl(dt_min=0.5, dt_max=1.0)
+        StepControl(safety=1.0, dt_min=0.5, dt_max=0.5)
 
 
 class TestRun:
@@ -1132,7 +1152,8 @@ class TestRun:
     def test_steady_run_reaches_horizon(self):
         init = self.steady_initial()
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
-        res = run(init, params, StepControl(), horizon=0.01, samples=3)
+        res = run(init, params, StepControl(), horizon=0.01, samples=3,
+                  sup_threshold_multiple=math.inf)
         assert res.termination == REACHED_T
         assert res.final_state.t >= 0.01
         assert res.comparison_violation <= 1e-12
@@ -1142,7 +1163,8 @@ class TestRun:
         g = grid2d(16)
         init = make_initial_data(g, "gaussian-bump", mass=1.0, width=0.15)
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
-        res = run(init, params, StepControl(), horizon=2e-4, samples=5)
+        res = run(init, params, StepControl(), horizon=2e-4, samples=5,
+                  sup_threshold_multiple=math.inf)
         assert res.termination == REACHED_T
         m0 = integrate(init.u0)
         assert integrate(res.final_state.u) == pytest.approx(m0, rel=1e-10)
@@ -1161,15 +1183,14 @@ class TestRun:
     def test_max_steps_termination(self):
         init = self.steady_initial()
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
-        res = run(init, params, StepControl(max_steps=5), horizon=10.0, samples=2)
+        res = run(init, params, StepControl(max_steps=5), horizon=10.0, samples=2,
+                  sup_threshold_multiple=math.inf)
         assert res.termination == MAX_STEPS
         assert res.steps == 5
 
     def test_dt_collapse_termination(self):
-        init = self.steady_initial()
-        params = ModelParams(m=2.0, q=1.0, sigma=0.0)
-        res = run(init, params, StepControl(dt_min=0.5, dt_max=1.0),
-                  horizon=1.0, samples=2)
+        res = run(collapsing_bump(), COLLAPSE_PARAMS, COLLAPSE_CTRL, horizon=1.0,
+                  samples=2, sup_threshold_multiple=math.inf)
         assert res.termination == DT_COLLAPSED
 
     def test_nonfinite_termination(self):
@@ -1180,7 +1201,7 @@ class TestRun:
         init = InitialData(u0=Field(g, u_vals), v0=constant_field(g, 0.0))
         params = ModelParams(m=3.0, q=1.0, sigma=0.0)
         res = run(init, params, StepControl(dt_min=1e-280, dt_max=1.0),
-                  horizon=1.0, samples=2)
+                  horizon=1.0, samples=2, sup_threshold_multiple=math.inf)
         assert res.termination == NONFINITE
 
     def test_wall_budget_termination(self, monkeypatch):
@@ -1190,7 +1211,8 @@ class TestRun:
         ticks = itertools.count()
         monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
         res = run(self.steady_initial(), ModelParams(m=2.0, q=1.0, sigma=1e-3),
-                  StepControl(), horizon=10.0, samples=2, wall_clock_budget=2.5)
+                  StepControl(), horizon=10.0, samples=2, sup_threshold_multiple=math.inf,
+                  wall_clock_budget=2.5)
         assert res.termination == WALL_BUDGET
         assert res.steps == 2
         assert res.sample_times[-1] == res.final_state.t < 10.0
@@ -1223,7 +1245,7 @@ class TestRun:
 
         monkeypatch.setattr(solver, "step", recording_step)
         res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
-                  horizon=2e-3, samples=3)
+                  horizon=2e-3, samples=3, sup_threshold_multiple=math.inf)
         assert len(outcomes) == res.steps > 0
         assert res.newton_corrections == sum(o.newton_corrections for o in outcomes)
         assert res.u_solve_iters == sum(o.u_solve_iters for o in outcomes)
@@ -1240,7 +1262,8 @@ class TestRun:
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
 
         def final_u():
-            res = run(init, params, StepControl(max_steps=15), horizon=1.0, samples=2)
+            res = run(init, params, StepControl(max_steps=15), horizon=1.0, samples=2,
+                      sup_threshold_multiple=math.inf)
             assert res.steps == 15
             return res.final_state.u.values
 
@@ -1254,6 +1277,7 @@ class TestRun:
     def test_final_state_always_sampled(self):
         init = self.steady_initial()
         params = ModelParams(m=2.0, q=1.0, sigma=1e-3)
-        res = run(init, params, StepControl(max_steps=3), horizon=10.0, samples=5)
+        res = run(init, params, StepControl(max_steps=3), horizon=10.0, samples=5,
+                  sup_threshold_multiple=math.inf)
         assert res.sample_times[-1] == res.final_state.t
         assert len(res.sample_times) == len(res.u_samples)
