@@ -6,8 +6,9 @@ Subcommands:
   kernels          self-verify the analytic kernels, emit a JSON report
   ladder <run-dir> rebuild a truncation ladder from a stored run series
 
-Exit codes: 0 on success; 1 on configuration errors, invalid option values,
-run directories `ladder` cannot read and outputs that cannot be written; 2
+Exit codes: 0 on success; 1 on configuration errors, invalid option values
+(among them a `ladder --K` below the smallest normal double, 2.2e-308), run
+directories `ladder` cannot read and outputs that cannot be written; 2
 when a run's solver fails (a solve that does not converge within its cap),
 when a completed sweep contains failed jobs, or when the kernel self-check
 fails.  Each error is reported as one line on stderr.
@@ -21,18 +22,12 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, SweepConfig, _convert, parse_config
-from .diagnostics import _MAX_LADDER_N, DiagnosticsConfig, build_ladder, ladder_for_run
-from .kernels import exponent_ms_qs, self_check
-from .outputs import (SWEEP_JSON, emit_run_outputs, load_series,
+from .config import ConfigError, RunConfig, SweepConfig, parse_config
+from .diagnostics import _MAX_LADDER_N, DiagnosticsConfig, ladder_for_run
+from .kernels import self_check
+from .outputs import (METADATA_JSON, SWEEP_JSON, emit_run_outputs, rebuild_run_ladder,
                       write_ladder_csv, write_sweep_json)
 from .sweep import execute_run, run_sweep
-
-# Keys that run directories written before their retirement still echo in
-# metadata.json; `ksfv ladder` drops them before parsing the echo.
-_RETIRED_KEYS = (("control", "v_solve_max_iters"), ("control", "dt_fixed"),
-                 ("diagnostics", "ladder_k_mode"), ("diagnostics", "N"),
-                 ("initial", "center"))
 
 
 def _load_config(text: str, kind, **overrides):
@@ -140,35 +135,21 @@ def _cmd_kernels(args) -> int:
 def _cmd_ladder(args) -> int:
     if not (math.isfinite(args.K) and args.K > 0.0):
         return _invalid_option(f"--K must be finite and > 0, got {args.K}")
+    if args.K < sys.float_info.min:  # subnormal: K/2 and the levels round
+        return _invalid_option(f"--K must be >= {sys.float_info.min!r}, "
+                               f"the smallest normal double, got {args.K}")
     if args.n_max < 0:
         return _invalid_option(f"--n-max must be >= 0, got {args.n_max}")
     if args.n_max > _MAX_LADDER_N:
         return _invalid_option(f"--n-max must be <= {_MAX_LADDER_N}, got {args.n_max}")
     run_dir = Path(args.run_dir)
-    meta_path = run_dir / "metadata.json"
-    if not meta_path.exists():
+    if not (run_dir / METADATA_JSON).exists():
         print(f"no run metadata found in {run_dir}", file=sys.stderr)
         return 1
     try:
-        meta = json.loads(meta_path.read_text())
-        doc, errors = meta["config"], []
-        s_used = _convert(float, meta["s_used"], "s_used", errors)
-        N_used = _convert(int, meta["N_used"], "N_used", errors)
-        if errors:
-            raise ValueError("; ".join(errors))
-        times, fields = load_series(run_dir)
+        ladder = rebuild_run_ladder(run_dir, args.K, args.n_max)
     except (OSError, ValueError, KeyError, TypeError) as e:
         return _error(f"unreadable run in {run_dir}", e)
-    for section, key in _RETIRED_KEYS:
-        if isinstance(doc, dict) and isinstance(doc.get(section), dict):
-            doc[section].pop(key, None)
-    cfg = _load_config(json.dumps(doc), RunConfig)
-    try:
-        m_s, _ = exponent_ms_qs(s_used, cfg.model.m, cfg.model.q, N_used)
-    except ValueError as e:  # N_used < 2
-        return _error(f"unreadable run in {run_dir}", e)
-    ladder = build_ladder(list(times), list(fields), cfg.grid.cell_volume,
-                          K=args.K, n_max=args.n_max, m_s=m_s)
     out = Path(args.out) if args.out else run_dir / "ladder_custom.csv"
     try:
         write_ladder_csv(ladder, out)

@@ -170,10 +170,13 @@ def _parse_run(doc, path: str, errors: list[str], model_derive=None) -> RunConfi
     if not isinstance(doc, dict):
         return _read(RunConfig, doc, path, errors)   # reports the type
     n = len(errors)
-    doc = {k: v for k, v in doc.items() if k != "kind"}
 
     def at(name):
         return f"{path}.{name}" if path else name
+
+    doc = dict(doc)
+    if (kind := doc.pop("kind", "run")) != "run":   # a template's: parse_config reads a run's
+        errors.append(f"{at('kind')}: expected 'run', got {kind!r}")
 
     def section(cls, name, derive=None, **given):
         return _read(cls, doc.get(name, {}), at(name), errors, derive, **given)

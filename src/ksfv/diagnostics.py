@@ -47,6 +47,8 @@ class DiagnosticsConfig:
                              "a deeper level can round to the one before it")
         if any(p < 1 for p in self.p_list):
             raise ValueError("every p in p_list must be >= 1")
+        if len(set(self.p_list)) < len(self.p_list):  # one run.csv column per p
+            raise ValueError(f"p_list must not repeat a value, got {list(self.p_list)}")
         if self.ladder_k_value <= 0:
             raise ValueError("ladder K value must be positive")
 

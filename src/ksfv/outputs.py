@@ -1,4 +1,6 @@
 """Artifact writers: per-run CSV, metadata JSON, ladder CSV, sweep JSON.
+The run directory's format is this module's: it writes every file of one,
+and only rebuild_run_ladder reads one back.
 
 All real numbers are written with their shortest round-trip decimal
 representation (Python repr), so files are reproducible byte for byte and
@@ -11,12 +13,16 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, run_config_to_dict, sweep_config_to_dict
-from .diagnostics import DeGiorgiLadder, DiagnosticsRecord, DiagnosticsTracker
+from . import __version__
+from .config import RunConfig, _convert, run_config_to_dict, sweep_config_to_dict
+from .diagnostics import DeGiorgiLadder, DiagnosticsRecord, DiagnosticsTracker, build_ladder
+from .grid import GridSpec
+from .kernels import exponent_ms_qs
 from .solver import RunResult
 from .sweep import SweepResult
 
@@ -26,6 +32,7 @@ LADDER_CSV = "ladder.csv"
 SERIES_TIMES_NPY = "series_t.npy"
 SERIES_FIELDS_NPY = "series_u.npy"
 SWEEP_JSON = "sweep.json"
+_VERSIONS = {"ksfv": __version__, "numpy": np.__version__, "python": sys.version.split()[0]}
 
 
 def fmt(x: float) -> str:
@@ -37,21 +44,20 @@ def _p_label(p: float) -> str:
     return str(int(p)) if float(p).is_integer() else fmt(p)
 
 
-def run_csv_header(p_list) -> list[str]:
-    return (["t", "mass", "sup_u", "sup_v", "sup_grad_v"]
-            + [f"lp_u:p={_p_label(p)}" for p in p_list]
-            + ["energy_s", "grad_energy_running", "ratio_fr1", "ratio_s14"])
+def _run_csv_cells(rec: DiagnosticsRecord):
+    """(column, value) of each run.csv cell of rec: its fields in declaration
+    order, a dict field (lp_u) as one column per key."""
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        if isinstance(value, dict):
+            yield from ((f"{f.name}:p={_p_label(p)}", x) for p, x in value.items())
+        else:
+            yield f.name, value
 
 
-def write_run_csv(records: list[DiagnosticsRecord], p_list, path: Path) -> None:
-    lines = [",".join(run_csv_header(p_list))]
-    for rec in records:
-        row = [fmt(rec.t), fmt(rec.mass), fmt(rec.sup_u), fmt(rec.sup_v),
-               fmt(rec.sup_grad_v)]
-        row += [fmt(rec.lp_u[p]) for p in p_list]
-        row += [fmt(rec.energy_s), fmt(rec.grad_energy_running),
-                fmt(rec.ratio_fr1), fmt(rec.ratio_s14)]
-        lines.append(",".join(row))
+def write_run_csv(records: list[DiagnosticsRecord], path: Path) -> None:
+    lines = [",".join(column for column, _ in _run_csv_cells(records[0]))]
+    lines += [",".join(fmt(x) for _, x in _run_csv_cells(rec)) for rec in records]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -70,8 +76,6 @@ def _jsonable(x):
 
 def write_run_metadata(cfg: RunConfig, result: RunResult,
                        tracker: DiagnosticsTracker, path: Path) -> None:
-    from . import __version__
-
     doc = {
         "config": run_config_to_dict(cfg),
         "termination": result.termination,
@@ -86,8 +90,7 @@ def write_run_metadata(cfg: RunConfig, result: RunResult,
         "running_max_sup_grad_v": result.running_max_sup_grad_v,
         "sup_second_difference_v": tracker.sup_dd_v_max,
         "comparison_violation": result.comparison_violation,
-        "versions": {"ksfv": __version__, "numpy": np.__version__,
-                     "python": sys.version.split()[0]},
+        "versions": _VERSIONS,
     }
     path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
@@ -107,29 +110,43 @@ def write_series(result: RunResult, out_dir: Path) -> None:
     np.save(out_dir / SERIES_FIELDS_NPY, np.stack(result.u_samples))
 
 
-def load_series(out_dir: Path) -> tuple[np.ndarray, np.ndarray]:
-    times = np.load(out_dir / SERIES_TIMES_NPY)
-    fields = np.load(out_dir / SERIES_FIELDS_NPY)
-    return times, fields
+def rebuild_run_ladder(run_dir: Path, K: float, n_max: int) -> DeGiorgiLadder:
+    """The truncation ladder at K and n_max of the run stored in run_dir.
+    It reads only the echo's model.m, model.q, grid.cells and grid.extent,
+    s_used, N_used and the two series, so any earlier config schema reads
+    alike.  Raises OSError, ValueError, KeyError or TypeError on a run
+    directory it cannot read."""
+    meta = json.loads((run_dir / METADATA_JSON).read_text())
+    model, grid, errors = meta["config"]["model"], meta["config"]["grid"], []
+    m = _convert(float, model["m"], "config.model.m", errors)
+    q = _convert(float, model["q"], "config.model.q", errors)
+    cells = _convert(tuple[int, ...], grid["cells"], "config.grid.cells", errors)
+    extent = _convert(tuple[float, ...], grid["extent"], "config.grid.extent", errors)
+    s_used = _convert(float, meta["s_used"], "s_used", errors)
+    N_used = _convert(int, meta["N_used"], "N_used", errors)
+    if errors:
+        raise ValueError("; ".join(errors))
+    cell_volume = GridSpec(dim=len(cells), cells=cells, extent=extent).cell_volume
+    m_s, _ = exponent_ms_qs(s_used, m, q, N_used)
+    times = np.load(run_dir / SERIES_TIMES_NPY)
+    u_samples = np.load(run_dir / SERIES_FIELDS_NPY)
+    return build_ladder(list(times), list(u_samples), cell_volume, K=K, n_max=n_max, m_s=m_s)
 
 
 def emit_run_outputs(cfg: RunConfig, result: RunResult, tracker: DiagnosticsTracker,
                      ladder: DeGiorgiLadder | None, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_run_csv(result.records, cfg.diagnostics.p_list, out_dir / RUN_CSV)
+    write_run_csv(result.records, out_dir / RUN_CSV)
     write_run_metadata(cfg, result, tracker, out_dir / METADATA_JSON)
     write_ladder_csv(ladder, out_dir / LADDER_CSV)
     write_series(result, out_dir)
 
 
 def write_sweep_json(result: SweepResult, path: Path) -> None:
-    from . import __version__
-
     doc = {
         "config": sweep_config_to_dict(result.config),
         "points": [{k: _jsonable(v) for k, v in pt.items()} for pt in result.points],
         "failures": len(result.failures),
-        "versions": {"ksfv": __version__, "numpy": np.__version__,
-                     "python": sys.version.split()[0]},
+        "versions": _VERSIONS,
     }
     path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")

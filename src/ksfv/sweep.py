@@ -76,31 +76,26 @@ def _max_ratio_s14(records) -> float | None:
     return max(vals) if vals else None
 
 
+# A sweep point's result keys, between its i, j, m, q and its error.
+_RESULT_KEYS = ("regime", "classification", "monotone_growth", "termination",
+                "final_sup_u", "t_end", "max_ratio_s14")
+
+
 def _sweep_point(args) -> dict:
     i, j, cfg = args
-    point = {"i": i, "j": j, "m": cfg.model.m, "q": cfg.model.q}
     try:
         N, _, _ = analytic_exponents(cfg.model, cfg.diagnostics, cfg.grid.dim)
         regime = classify_regime(cfg.model, N)
         result, _ = execute_run(cfg)
         verdict = classify_run(result, cfg.thresholds.bounded_multiple)
-        point.update({
-            "regime": regime.value,
-            "classification": verdict.label,
-            "monotone_growth": verdict.monotone_growth,
-            "termination": result.termination,
-            "final_sup_u": result.records[-1].sup_u,
-            "t_end": result.final_state.t,
-            "max_ratio_s14": _max_ratio_s14(result.records),
-            "error": None,
-        })
+        values = (regime.value, verdict.label, verdict.monotone_growth, result.termination,
+                  result.records[-1].sup_u, result.final_state.t,
+                  _max_ratio_s14(result.records))
+        error = None
     except Exception as e:  # job isolation: record, keep sweeping
-        point.update({
-            "regime": None, "classification": None, "monotone_growth": None,
-            "termination": None, "final_sup_u": None, "t_end": None,
-            "max_ratio_s14": None, "error": f"{type(e).__name__}: {e}",
-        })
-    return point
+        values, error = (None,) * len(_RESULT_KEYS), f"{type(e).__name__}: {e}"
+    return {"i": i, "j": j, "m": cfg.model.m, "q": cfg.model.q,
+            **dict(zip(_RESULT_KEYS, values, strict=True)), "error": error}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from ksfv.config import (ConfigError, RunConfig, SweepConfig, parse_config,
 from ksfv.diagnostics import DiagnosticsConfig, ladder_for_run
 from ksfv.outputs import (LADDER_CSV, METADATA_JSON, RUN_CSV, SERIES_FIELDS_NPY,
                           SERIES_TIMES_NPY, SWEEP_JSON, emit_run_outputs, read_run_csv,
-                          run_csv_header, write_sweep_json)
+                          write_sweep_json)
 from ksfv.solver import run
 from ksfv.sweep import (BLOW_UP, BOUNDED, INCONCLUSIVE, Classification, classify_run,
                         execute_run, run_sweep)
@@ -169,6 +169,10 @@ MALFORMED = [
                  "initial.centers[0]: expected a list", id="centers-flat"),
     pytest.param(_sweep_template(model="x"),
                  "template.model: expected an object", id="template-model-string"),
+    pytest.param(_sweep_template(kind="sweep"),
+                 "template.kind: expected 'run', got 'sweep'", id="template-kind-sweep"),
+    pytest.param(_sweep_template(kind=42),
+                 "template.kind: expected 'run', got 42", id="template-kind-number"),
     pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]},
                                initial={"preset": "gaussian-bump", "centers": [[0.5]]}),
                  "initial: center [0.5] needs 2 coordinates", id="center-1d-on-2d"),
@@ -210,6 +214,10 @@ MALFORMED = [
                  "template: diagnostics.s=0 violates s > max(0, m - 2q)", id="template-s-0"),
     pytest.param(small_run_doc(diagnostics={"p_fr1": 1.5}),
                  "run: diagnostics.p_fr1 must exceed (N+2)/2", id="p-fr1-small"),
+    # each p is one run.csv column
+    pytest.param(small_run_doc(diagnostics={"p_list": [2, 2.0]}),
+                 "diagnostics: p_list must not repeat a value, got [2.0, 2.0]",
+                 id="p-list-repeated"),
     pytest.param(small_run_doc(diagnostics={"ladder_n_max": -2}),
                  "diagnostics: ladder_n_max must be >= 0", id="ladder-n-max-negative"),
     # from n = 52 a ladder level can round to the one before it, which
@@ -389,13 +397,16 @@ class TestOutputs:
         assert len(set(data_rows)) == 1
 
     def test_csv_column_contract(self, tmp_path):
-        cfg, _ = self.run_and_emit(tmp_path)
+        self.run_and_emit(tmp_path)
         header, _ = read_run_csv(tmp_path / RUN_CSV)
         assert header == ["t", "mass", "sup_u", "sup_v", "sup_grad_v",
                           "lp_u:p=1", "lp_u:p=2", "lp_u:p=4",
                           "energy_s", "grad_energy_running",
                           "ratio_fr1", "ratio_s14"]
-        assert header == run_csv_header(cfg.diagnostics.p_list)
+        # the lp_u columns follow p_list, in its order
+        self.run_and_emit(tmp_path, small_run_doc(diagnostics={"p_list": [4, 1.5]}))
+        header, _ = read_run_csv(tmp_path / RUN_CSV)
+        assert header[5:8] == ["lp_u:p=4", "lp_u:p=1.5", "energy_s"]
 
     def test_csv_round_trips_reals(self, tmp_path):
         cfg, result = self.run_and_emit(tmp_path)
@@ -586,14 +597,20 @@ class TestCli:
                                      "--seed", "-1"], "initial: seed must be >= 0")
 
     def test_ladder_on_unparsable_metadata(self, tmp_path, capsys):
-        cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
-        out_dir = tmp_path / "out"
-        assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
-        meta = json.loads((out_dir / METADATA_JSON).read_text())
-        del meta["config"]["horizon"]
-        (out_dir / METADATA_JSON).write_text(json.dumps(meta))
-        self.expect_invalid(capsys, ["ladder", str(out_dir), "--K", "2.0"],
-                            "run.horizon: missing required value")
+        # an echo that no longer parses as a config still rebuilds the
+        # run's ladder, as the ladder reads only its own inputs; an echo
+        # without one of them is an unreadable run
+        rebuilt, original = self.rebuild_run_ladder(
+            tmp_path, lambda meta: meta["config"].pop("horizon"))
+        assert rebuilt == original
+        meta_path = tmp_path / "out" / METADATA_JSON
+        meta = json.loads(meta_path.read_text())
+        del meta["config"]["model"]["m"]
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert cli_main(["ladder", str(tmp_path / "out"), "--K", "2.0"]) == 1
+        assert capsys.readouterr().err == f"unreadable run in {tmp_path / 'out'}: KeyError: 'm'\n"
+        assert not (tmp_path / "out" / "ladder_custom.csv").exists()
 
     def test_kernels_command(self, tmp_path):
         report_path = tmp_path / "kernels.json"
@@ -668,9 +685,14 @@ class TestCli:
     @pytest.mark.parametrize("option,value,error", [
         ("--K", "nan", "--K must be finite and > 0, got nan"),
         ("--K", "-1", "--K must be finite and > 0, got -1.0"),
+        # subnormal K: K/2 or the levels would round
+        ("--K", "1e-310", "--K must be >= 2.2250738585072014e-308, the smallest normal "
+                          "double, got 1e-310"),
+        ("--K", "5e-324", "--K must be >= 2.2250738585072014e-308, the smallest normal "
+                          "double, got 5e-324"),
         ("--n-max", "-1", "--n-max must be >= 0, got -1"),
         ("--n-max", "52", "--n-max must be <= 51, got 52"),
-    ], ids=["K-nan", "K-negative", "n-max-negative", "n-max-52"])
+    ], ids=["K-nan", "K-negative", "K-1e-310", "K-5e-324", "n-max-negative", "n-max-52"])
     def test_ladder_bad_option_exit_1(self, tmp_path, capsys, option, value, error):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
         out_dir = tmp_path / "out"
@@ -735,6 +757,17 @@ class TestCli:
         rebuilt, original = self.rebuild_run_ladder(tmp_path, add_retired_keys)
         assert rebuilt == original
 
+    @pytest.mark.parametrize("edit", [
+        # valid before StepControl checked dt_min <= safety * dt_max
+        lambda config: config.update(control={"safety": 0.4, "dt_min": 0.05, "dt_max": 0.1}),
+        lambda config: (config["diagnostics"].update(unknown=1),
+                        config["initial"].update(unknown="x")),
+    ], ids=["control-collapses", "unknown-keys"])
+    def test_ladder_reads_echo_of_another_schema(self, tmp_path, edit):
+        # the ladder reads none of these keys, so no schema check runs on them
+        rebuilt, original = self.rebuild_run_ladder(tmp_path, lambda meta: edit(meta["config"]))
+        assert rebuilt == original
+
     def test_ladder_out_in_missing_dir_exits_1(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
         out_dir = tmp_path / "out"
@@ -754,8 +787,11 @@ class TestCli:
         (_metadata_with("s_used", "x"), "ValueError: s_used: expected a finite number, got 'x'"),
         (_metadata_with("N_used", 2.5), "ValueError: N_used: expected an integer, got 2.5"),
         (_metadata_with("N_used", 1), "ValueError: N must be >= 2, got 1"),
+        (lambda out_dir: np.save(out_dir / SERIES_TIMES_NPY,
+                                 np.load(out_dir / SERIES_TIMES_NPY)[:-1]),
+         "ValueError: times and samples must align"),
     ], ids=["metadata-not-json", "series-t-missing", "series-u-missing", "s-used-missing",
-            "s-used-string", "n-used-float", "n-used-below-2"])
+            "s-used-string", "n-used-float", "n-used-below-2", "series-lengths-differ"])
     def test_ladder_unreadable_run_exits_1(self, tmp_path, capsys, damage, error):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
         out_dir = tmp_path / "out"
