@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, face_gradient_sup, grad_square_integral, integrate, lp_norm,
-                   second_difference_sup)
+from .grid import Field, face_gradient_sup, grad_square_integral, integrate, lp_norm
 from .kernels import default_s, exponent_ms_qs, gamma_exponent
 from .model import ModelParams
 from .solver import SimState
@@ -113,7 +112,6 @@ class DiagnosticsTracker:
         self._u2p_integral = 0.0       # integral of u^(2p) over space-time
         self._grad_energy = 0.0        # integral of |grad u^((m+s)/2)|^2
         self._sup_grad_v_running = 0.0
-        self.sup_dd_v_max = 0.0        # curvature monitor, reported in metadata
 
     def record(self, state: SimState) -> DiagnosticsRecord:
         u, v = state.u, state.v
@@ -132,7 +130,6 @@ class DiagnosticsTracker:
 
         sup_grad_v = face_gradient_sup(v)
         self._sup_grad_v_running = max(self._sup_grad_v_running, sup_grad_v)
-        self.sup_dd_v_max = max(self.sup_dd_v_max, second_difference_sup(v))
 
         sup_u = lp_norm(u, math.inf)
         u_2p_norm = self._u2p_integral ** (1.0 / (2.0 * self.p_fr1)) if self._u2p_integral > 0 else 0.0

@@ -193,20 +193,6 @@ def face_gradient_sup(f: Field) -> float:
     return max(float(np.abs(g.faces).max()) / h for g, h in _face_differences(f.grid, f.values))
 
 
-def second_difference_sup(f: Field) -> float:
-    """Max over cells and axes of |f_{i+1} - 2 f_i + f_{i-1}| / h^2.
-
-    Crude curvature monitor used alongside the face-gradient sup; interior
-    cells only, since the mirror closure makes boundary second differences
-    degenerate.
-    """
-    worst = 0.0
-    for axis, (g, h) in enumerate(_face_differences(f.grid, f.values)):
-        inner = (slice(None),) * axis + (slice(1, -1),)
-        worst = max(worst, float(np.abs(g.plus[inner] - g.minus[inner]).max()) / (h * h))
-    return worst
-
-
 def grad_square_integral(grid: GridSpec, x: np.ndarray) -> float:
     """Discrete integral of |grad x|^2 using face gradients.
 

@@ -165,6 +165,6 @@ def make_initial_data(grid: GridSpec, preset: str, *, seed: int = 0,
     return InitialData(u0=u0, v0=v0)
 
 
-# Classical 2D aggregation threshold for concentrated data; imported from the
-# chemotaxis literature as a benchmark constant, configurable in experiments.
+# Classical 2D aggregation threshold for concentrated data, from the chemotaxis
+# literature; a fixed constant (no config key sets it) that scales test masses.
 CRITICAL_MASS_2D = 8.0 * math.pi

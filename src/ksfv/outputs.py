@@ -88,7 +88,6 @@ def write_run_metadata(cfg: RunConfig, result: RunResult,
         "gamma": _jsonable(tracker.gamma if tracker.gamma is not None else math.nan),
         "running_max_sup_u": result.running_max_sup_u,
         "running_max_sup_grad_v": result.running_max_sup_grad_v,
-        "sup_second_difference_v": tracker.sup_dd_v_max,
         "comparison_violation": result.comparison_violation,
         "versions": _VERSIONS,
     }
@@ -115,7 +114,7 @@ def rebuild_run_ladder(run_dir: Path, K: float, n_max: int) -> DeGiorgiLadder:
     It reads only the echo's model.m, model.q, grid.cells and grid.extent,
     s_used, N_used and the two series, so any earlier config schema reads
     alike.  Raises OSError, ValueError, KeyError or TypeError on a run
-    directory it cannot read."""
+    directory it cannot read, or whose fields do not match grid.cells."""
     meta = json.loads((run_dir / METADATA_JSON).read_text())
     model, grid, errors = meta["config"]["model"], meta["config"]["grid"], []
     m = _convert(float, model["m"], "config.model.m", errors)
@@ -130,6 +129,9 @@ def rebuild_run_ladder(run_dir: Path, K: float, n_max: int) -> DeGiorgiLadder:
     m_s, _ = exponent_ms_qs(s_used, m, q, N_used)
     times = np.load(run_dir / SERIES_TIMES_NPY)
     u_samples = np.load(run_dir / SERIES_FIELDS_NPY)
+    if u_samples.shape[1:] != cells:
+        raise ValueError(f"{SERIES_FIELDS_NPY} holds fields of shape {u_samples.shape[1:]}, "
+                         f"but config.grid.cells is {cells}")
     return build_ladder(list(times), list(u_samples), cell_volume, K=K, n_max=n_max, m_s=m_s)
 
 

@@ -21,7 +21,8 @@ One step advances (u, v) by operator splitting:
 
 Every face operation runs on the grid's flat face layout (grid._FaceBuffer,
 whose wrap faces on the last axis of a 2-D grid are exactly 0.0) and every
-Laplacian is grid._Laplacian.
+Laplacian is grid._Laplacian.  The chemotactic rates and the limiter
+share one donor-cell face transfer, _upwind.
 
 Every implicit system here is symmetric positive definite.  Two have
 constant coefficients: the v-solve, whose operator is (1 + dt) - dt lap_h,
@@ -81,11 +82,12 @@ step wherever both bounds stay above it.
 Every grid-sized array a step writes and then discards lives in its grid's
 workspace (_Workspace: one per grid and thread, built at the grid's first
 step there) and is written in place (out=), so a step allocates only the
-two arrays of the next state.  A workspace array stays valid until the next
-step on that grid in that thread.  States never point into a workspace and
-threads never share one, so concurrent runs stay independent.  At 128^2 an
-array is 128 KiB, glibc's mmap threshold, so a freed temporary would go back
-to the kernel and fault in again at its next allocation.
+two arrays of the next state, limited or not.  A workspace array stays
+valid until the next step on that grid in that thread.  States never point
+into a workspace and threads never share one, so concurrent runs stay
+independent.  At 128^2 an array is 128 KiB, glibc's mmap threshold, so a
+freed temporary would go back to the kernel and fault in again at its next
+allocation.
 """
 
 from __future__ import annotations
@@ -173,13 +175,14 @@ class _Workspace:
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.lap = _Laplacian(grid)
-        # _StepWork's chemotactic flux and its two parts per axis
-        self.flux = [[_FaceBuffer(grid, axis) for _ in range(3)] for axis in range(grid.dim)]
+        # per axis: _upwind's face value and its two parts, the limiter's amounts
+        self.flux = [[_FaceBuffer(grid, axis) for _ in range(4)] for axis in range(grid.dim)]
         (self.rate, self.out_rate, self.in_rate, self.uq, self.r, self.w, self.lw, self.res,
          self.tmp, self.rhs, self.d) = (np.empty(grid.cells) for _ in range(11))
         self.inverse = tuple(np.empty(grid.cells) for _ in range(3))
+        # the CG vectors, which the limiter reuses once the solve has returned
         self.cg = tuple(np.empty(grid.cells) for _ in range(5))
-        self.mask = np.empty(grid.cells, dtype=bool)
+        self.mask, self.limited, self.newly = (np.empty(grid.cells, bool) for _ in range(3))
 
     @cached_property
     def levels(self) -> list:
@@ -481,6 +484,31 @@ class _Potential:
             return np.multiply(_power(w, 1.0 / self.m - 1.0, out), 1.0 / self.m, out=out)
 
 
+def _upwind(bufs, coef: np.ndarray, x: np.ndarray, mask: np.ndarray, scale: float,
+            out: np.ndarray, inn: np.ndarray) -> None:
+    """Donor-cell transfer on one axis of the flat face layout: face value
+    F = coef x_donor (into bufs[0]), the donor being the -axis cell where
+    coef > 0, else the +axis cell.  Its parts P = max(F, 0), leaving the
+    -axis cell, and M = P - F, leaving the +axis one, times `scale` (into
+    bufs[1:3]), add to out as they leave a cell and to inn as they enter
+    one.  x and the bool `mask` are flat over the cells."""
+    F, P, M = bufs[:3]
+    st = F.st
+    with np.errstate(invalid="ignore"):
+        np.copyto(M.faces, x[st:])
+        np.copyto(M.faces, x[:-st], where=np.greater(coef, 0.0, out=mask[st:]))
+        np.multiply(M.faces, coef, out=F.faces)
+        F.faces[F.wrap] = 0.0  # an infinite donor times a zero wrap coef
+        np.maximum(F.faces, 0.0, out=P.faces)
+        np.subtract(P.faces, F.faces, out=M.faces)  # max(-F, 0)
+        P.faces *= scale
+        M.faces *= scale
+    out += P.plus
+    out += M.minus
+    inn += M.plus
+    inn += P.minus
+
+
 class _StepWork:
     """Chemotactic face fluxes, their outflow/inflow rates and the dt
     bounds at the pre-step state, plus the implicit diffusion solve.
@@ -510,26 +538,13 @@ class _StepWork:
             sup_dv = 0.0
             uq = _power(uv, params.q, ws.uq).reshape(-1)
             vf, mask = v.values.reshape(-1), ws.mask.reshape(-1)
-            for (F, Fp, Fm), h in zip(ws.flux, grid.spacing):
-                st = F.st
-                dv = F.diff(vf[st:], vf[:-st])
+            for bufs, h in zip(ws.flux, grid.spacing):
+                F = bufs[0]
+                dv = F.diff(vf[F.st:], vf[:-F.st])
                 dv *= 1.0 / h
-                sup_dv = max(sup_dv, float(np.abs(dv, out=Fp.faces).max()))
-                with np.errstate(invalid="ignore"):
-                    # donor-cell flux u_donor^q dv: the donor is the -axis cell
-                    # where dv > 0, so an empty donor carries no flux
-                    np.copyto(Fm.faces, uq[st:])
-                    np.copyto(Fm.faces, uq[:-st], where=np.greater(dv, 0.0, out=mask[st:]))
-                    np.multiply(Fm.faces, dv, out=dv)
-                    dv[F.wrap] = 0.0  # an infinite donor times a zero wrap dv
-                    np.maximum(dv, 0.0, out=Fp.faces)
-                    np.subtract(Fp.faces, dv, out=Fm.faces)  # max(-F, 0)
-                    Fp.faces *= 1.0 / h
-                    Fm.faces *= 1.0 / h
-                    out_rate += Fp.plus
-                    out_rate += Fm.minus
-                    in_rate += Fm.plus
-                    in_rate += Fp.minus
+                sup_dv = max(sup_dv, float(np.abs(dv, out=bufs[1].faces).max()))
+                # the donor-cell flux u_donor^q dv
+                _upwind(bufs, dv, uq, mask, 1.0 / h, out_rate, in_rate)
         rate += in_rate
         rate -= out_rate
 
@@ -596,43 +611,39 @@ class _StepWork:
         end.  Mass stays exact because a scaled amount still leaves one cell
         and enters the other.
         """
-        u1 = np.add(r, np.multiply(lw, dt, out=self.ws.tmp))
+        ws = self.ws
+        u1 = np.add(r, np.multiply(lw, dt, out=ws.tmp))
         if not float(u1.min()) < 0.0:  # nonnegative, or non-finite
             return u1
-        grid = self.grid
-        wf = w.reshape(-1)
-        faces = []
-        outflow = np.zeros(grid.cells)
-        for axis, h in enumerate(grid.spacing):
-            # amounts dt (w_L - w_R)/h^2, out of the -axis and the +axis cell
-            A, out_l, out_r = (_FaceBuffer(grid, axis) for _ in range(3))
+        outflow, cap, theta, inflow, acc = ws.cg  # free once the solve has returned
+        limited, newly = ws.limited, ws.newly
+        wf, theta_f, mask = w.reshape(-1), theta.reshape(-1), ws.mask.reshape(-1)
+        outflow[...] = inflow[...] = 0.0
+        theta.fill(1.0)
+        for bufs, h in zip(ws.flux, self.grid.spacing):
+            # amounts dt (w_L - w_R)/h^2, leaving the -axis cell where positive;
+            # at theta = 1 they give each cell's outflow (inflow is scratch here)
+            A = bufs[3]
             A.diff(wf[:-A.st], wf[A.st:])
             A.faces *= dt / h ** 2
-            np.maximum(A.faces, 0.0, out=out_l.faces)
-            np.maximum(-A.faces, 0.0, out=out_r.faces)
-            outflow += out_l.plus
-            outflow += out_r.minus
-            faces.append((A.faces, A.st, out_l, out_r))
+            _upwind(bufs, A.faces, theta_f, mask, 1.0, outflow, inflow)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cap = np.where(outflow > 0.0, np.clip(0.5 * r / outflow, 0.0, 1.0), 1.0)
-        limited = np.zeros(grid.cells, dtype=bool)
+            np.clip(np.divide(np.multiply(r, 0.5, out=cap), outflow, out=cap), 0.0, 1.0, out=cap)
+        np.copyto(cap, 1.0, where=np.logical_not(np.greater(outflow, 0.0, out=newly), out=newly))
+        limited.fill(False)
         while True:
-            newly = (u1 < 0.0) & ~limited
+            np.copyto(np.less(u1, 0.0, out=newly), False, where=limited)
             if not newly.any():
                 return u1
             limited |= newly
-            theta = np.where(limited, cap, 1.0).reshape(-1)
-            u1 = r.copy()
-            inflow = np.zeros(grid.cells)
-            for A, st, out_l, out_r in faces:
-                moved = A * np.where(A > 0.0, theta[:-st], theta[st:])
-                np.maximum(moved, 0.0, out=out_l.faces)
-                np.maximum(-moved, 0.0, out=out_r.faces)
-                u1 -= out_l.plus
-                u1 -= out_r.minus
-                inflow += out_r.plus
-                inflow += out_l.minus
-            u1 += inflow
+            theta.fill(1.0)
+            np.copyto(theta, cap, where=limited)
+            # outgoing amounts summed from -r: inflow - acc = (r - outgoing) + inflow
+            np.negative(r, out=acc)
+            inflow.fill(0.0)
+            for bufs in ws.flux:
+                _upwind(bufs, bufs[3].faces, theta_f, mask, 1.0, acc, inflow)
+            np.subtract(inflow, acc, out=u1)
 
     def diffusion_update(self, r: np.ndarray, dt: float, ctrl: StepControl
                          ) -> tuple[np.ndarray | None, np.ndarray | None, int, int]:

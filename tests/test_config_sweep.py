@@ -467,6 +467,14 @@ def _metadata_with(key, value):
     return damage
 
 
+def _echo_with_cells(cells):
+    def damage(out_dir):
+        meta = json.loads((out_dir / METADATA_JSON).read_text())
+        meta["config"]["grid"]["cells"] = cells
+        (out_dir / METADATA_JSON).write_text(json.dumps(meta))
+    return damage
+
+
 class TestCli:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
@@ -790,8 +798,12 @@ class TestCli:
         (lambda out_dir: np.save(out_dir / SERIES_TIMES_NPY,
                                  np.load(out_dir / SERIES_TIMES_NPY)[:-1]),
          "ValueError: times and samples must align"),
+        (_echo_with_cells([4, 4]),
+         f"ValueError: {SERIES_FIELDS_NPY} holds fields of shape (8, 8), "
+         "but config.grid.cells is (4, 4)"),
     ], ids=["metadata-not-json", "series-t-missing", "series-u-missing", "s-used-missing",
-            "s-used-string", "n-used-float", "n-used-below-2", "series-lengths-differ"])
+            "s-used-string", "n-used-float", "n-used-below-2", "series-lengths-differ",
+            "grid-differs-from-series"])
     def test_ladder_unreadable_run_exits_1(self, tmp_path, capsys, damage, error):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)
         out_dir = tmp_path / "out"
