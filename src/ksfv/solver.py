@@ -36,13 +36,15 @@ preconditioned by a symmetric multigrid V-cycle (_NewtonPreconditioner):
 two damped-Jacobi sweeps before and after each coarse correction, grids
 halved while every axis is even, and the cosine-basis inverse scaled by the
 diagonal on the coarsest level, which is exact when du/dw is uniform.  Its
-depth follows the grid (_MG_MIN_CELLS) and du/dw (_MG_SPREAD): a 2-D grid
-of more than 64^2 cells is halved down to the first level of at most 16^2
-cells unless du/dw varies by at most a factor 4 over the active cells; any
-other grid, and any such correction, keeps one level, on which the V-cycle
-is that scaled cosine inverse.  Measured with one BLAS thread on the
-bounded-side legs of the benchmark (the 128^2 bump at m = 2 and 1.5 to
-T = 1, 77 and 83 steps): with every correction on the V-cycle they take
+depth follows the grid (_MG_COARSEST_CELLS) and du/dw (_MG_SPREAD): a 2-D
+grid is halved while every axis is even and the level has more than 16^2
+cells (128^2 and 64^2 down to 16^2, 48^2 to 12^2, 32^2 to 16^2) unless
+du/dw varies by at most a factor 4 over the active cells; an odd or 1-D
+grid, a grid of at most 16^2 cells, and any such correction keep one level,
+on which the V-cycle is that scaled cosine inverse.  Measured with one BLAS
+thread on the bounded-side legs of the benchmark (the 128^2 bump at m = 2
+and 1.5 to T = 1, 77 and 83 steps): with every correction on the V-cycle
+they take
 1.8 and 2.1 CG iterations per correction, against 11.4 and 6.6 with the
 scaled cosine inverse alone, and a two-grid cycle (coarsest 64^2) 3.3 and
 2.9.  But once the bump has spread out the cosine inverse is nearly exact,
@@ -61,9 +63,28 @@ one level, and the median wall time of both legs over 3 rounds):
 
 Any bound from 2 to 100 does the same work; at 1000 every correction of
 the m = 1.5 leg, whose du/dw = (u+sigma)^(-1/2)/1.5 spans at most about
-970, falls under it, peaked ones too.  At 64^2 a V-cycle application costs
-about four cosine-inverse iterations, so the 64^2 sweep points gain nothing
-and (0.75, 0.5) ran slower, which is why such grids keep one level.
+970, falls under it, peaked ones too.
+
+The same rule serves the 32^2-64^2 grids of a sweep.  Measured on the six
+m != 1 points of the benchmark's phase sweep ((m, q) in {0.75, 1.5, 2} x
+{0.5, 1}, the 1.5 x 8 pi bump to T = 0.3 or 15x), run one after another,
+with the grid's levels or with one level only (their corrections and CG
+iterations, and the median wall time of the six over 5 alternated
+rounds):
+
+    grid    levels  corrections  CG iterations  wall
+    32^2    1       2123         6633           0.54 s
+            2       1757         2930           0.55 s
+    48^2    1       1860         7873           0.90 s
+            3       1420         2495           0.79 s
+    64^2    1       1940         9900           1.85 s
+            3       1530         2966           1.11 s
+
+At 32^2 the six are about even: a cycle there costs about what the
+iterations it saves did, and the (0.75, 1) point, which blows up, takes 160
+steps to its threshold instead of 154.  The gain grows with the grid, and
+per point it is least at m = 0.75: (0.75, 0.5) at 64^2 ran 6% faster in
+these rounds and 13% slower in an earlier batch of 3.
 
 The v-solve and the diffusion solve stop at the residual 2-norm
 v_solve_tol * (1 + |rhs|); the CG solve of each m != 1 Newton correction
@@ -186,16 +207,20 @@ class _Workspace:
 
     @cached_property
     def levels(self) -> list:
-        """The V-cycle's levels, finest first (see _MG_MIN_CELLS), built at the
-        first m != 1 step: each a grid, its Laplacian and arrays for a cycle's
-        r, the smoother weights, scratch, and the scale and inverse
-        eigenvalues of _scaled_inverse.  The coarse levels also hold their
-        cycle's x, their d and restriction pairs; on the finest level these
-        are the caller's out and d, and restriction writes only below it."""
+        """The V-cycle's levels, finest first, built at the first m != 1 step.
+        A 2-D grid is halved while every axis is even and at least 6 and the
+        level has more than _MG_COARSEST_CELLS cells (128^2 -> 16^2, 48^2 ->
+        12^2, 32^2 -> 16^2); an odd or 1-D grid, or one of at most 16^2
+        cells, keeps one level.  Each level is a grid, its Laplacian and
+        arrays for a cycle's r, the smoother weights, scratch, and the scale
+        and inverse eigenvalues of _scaled_inverse.  The coarse levels also
+        hold their cycle's x, their d and restriction pairs; on the finest
+        level these are the caller's out and d, and restriction writes only
+        below it."""
         grids = [self.grid]
-        if self.grid.dim == 2 and self.grid.num_cells > _MG_MIN_CELLS:
+        if self.grid.dim == 2:
             # a GridSpec needs at least 3 cells per axis
-            while (grids[-1].num_cells > _MG_MIN_CELLS // 16
+            while (grids[-1].num_cells > _MG_COARSEST_CELLS
                    and all(n % 2 == 0 and n >= 6 for n in grids[-1].cells)):
                 grids.append(GridSpec(dim=2, cells=tuple(n // 2 for n in grids[-1].cells),
                                       extent=self.grid.extent))
@@ -363,11 +388,10 @@ def _scaled_inverse(level: SimpleNamespace, d: np.ndarray, dt: float, active=Non
     return lambda x, out: np.multiply(scale, shifted(np.multiply(scale, x, out=tmp), out), out=out)
 
 
-# The V-cycle's depth: a grid of more than _MG_MIN_CELLS cells is halved
-# while every axis is even, down to the first level of at most
-# _MG_MIN_CELLS / 16 cells (128^2 -> 16^2); other grids keep one level.
-# Chosen from measurements at 128^2 and 64^2 (see the module docstring).
-_MG_MIN_CELLS = 64 * 64
+# The V-cycle's depth: a 2-D grid is halved while every axis is even and
+# the level has more than this many cells, so its coarsest level has at most
+# this many (see _Workspace.levels and the module docstring).
+_MG_COARSEST_CELLS = 16 * 16
 # A Newton correction whose d varies by at most this factor over the active
 # cells takes one level whatever the grid: the scaled cosine inverse, exact
 # for uniform d.  Chosen from measurements at 128^2 (see the module docstring).
@@ -409,10 +433,16 @@ class _NewtonPreconditioner:
 
     def __init__(self, grid: GridSpec, d: np.ndarray, dt: float, active=None):
         levels = _workspace(grid).levels
-        where = True if active is None else active
-        if (len(levels) > 1 and np.max(d, where=where, initial=0.0)
-                <= _MG_SPREAD * np.min(d, where=where, initial=math.inf)):
-            levels = levels[:1]
+        if len(levels) > 1:
+            # plain reductions unless a cell is pinned: at 64^2 the masked
+            # ones cost about three times as much
+            if active is None:
+                d_max, d_min = d.max(), d.min()
+            else:
+                d_max = np.max(d, where=active, initial=0.0)
+                d_min = np.min(d, where=active, initial=math.inf)
+            if d_max <= _MG_SPREAD * d_min:
+                levels = levels[:1]
         self.levels = levels
         self.dt, self.active, self.ds, self.weights = dt, active, [d], []
         for fine, coarse in zip(levels, levels[1:]):

@@ -293,19 +293,21 @@ def test_criterion_4_linear_diffusion_oracle():
 # ------------------------------------------------------------- criterion 5
 
 def _dichotomy_leg(n_cells, m, horizon, sup_multiple, width,
-                   wall_budget=None):
+                   wall_budget=None, mass=1.5 * CRITICAL_MASS_2D, center=None):
     """One leg through the program's path: a run document, parse_config,
-    execute_run and classify_run."""
+    execute_run and classify_run.  The bump sits at `center` (None: the
+    centre of the unit square)."""
     doc = {
         "kind": "run",
         "model": {"m": m, "q": 1.0, "sigma": 1e-3},
         "grid": {"dim": 2, "cells": [n_cells, n_cells]},
-        "initial": {"preset": "gaussian-bump",
-                    "mass": 1.5 * CRITICAL_MASS_2D, "width": width},
+        "initial": {"preset": "gaussian-bump", "mass": mass, "width": width},
         "horizon": horizon,
         "samples": 6,
         "thresholds": {"sup_multiple": sup_multiple, "bounded_multiple": 50.0},
     }
+    if center is not None:
+        doc["initial"]["centers"] = [list(center)]
     cfg = parse_config(json.dumps(doc))
     t0 = time.monotonic()
     res, _ = execute_run(cfg, wall_clock_budget=wall_budget)
@@ -318,7 +320,15 @@ def _dichotomy_leg(n_cells, m, horizon, sup_multiple, width,
     }
 
 
-def test_criterion_5_phase_dichotomy_stated_scale():
+@pytest.fixture(scope="session")
+def stated_blowup_leg():
+    """Criterion 5's (1,1) leg at stated scale: the centred 1.5 x 8pi bump at
+    128^2 to 30x."""
+    return _dichotomy_leg(128, 1.0, horizon=1.0, sup_multiple=30.0,
+                          width=0.08, wall_budget=400.0)
+
+
+def test_criterion_5_phase_dichotomy_stated_scale(stated_blowup_leg):
     """128^2 unit square, mass 1.5 x 8pi, T=1: (1,1) -> BlowUp before T=1;
     (2,1) and (1.5,1) -> Bounded at T=1 with sup <= 50x initial; <= 10 min.
 
@@ -328,9 +338,9 @@ def test_criterion_5_phase_dichotomy_stated_scale():
     finish well inside their budgets.
     """
     budget = 600.0
-    t_start = time.monotonic()
-    blow = _dichotomy_leg(128, 1.0, horizon=1.0, sup_multiple=30.0,
-                          width=0.08, wall_budget=400.0)
+    blow = stated_blowup_leg
+    # the budget counts the blow-up leg's own time, wherever it ran
+    t_start = time.monotonic() - blow["elapsed"]
     details = [f"(1,1): {blow['label']} at t={blow['t_end']:.4f} "
                f"({blow['elapsed']:.0f}s, {blow['steps']} steps, "
                f"peak {blow['peak_ratio']:.0f}x)"]
@@ -360,6 +370,40 @@ def test_criterion_5_phase_dichotomy_stated_scale():
         "costly (see the module docstring and the reduced-scale companion "
         "test)."
     )
+
+
+def test_criterion_5_three_fates_of_one_mass(stated_blowup_leg):
+    """One mass, 6pi = 0.75 x 8pi, at 128^2 to T=1 and 30x: at (1,1) the
+    centred bump is Bounded while the edge and corner bumps blow up (the
+    classical thresholds are 8pi inside, 4pi on an edge and 2pi in a
+    corner); at (1.5,1) and (2,1), m > q, the corner bump is Bounded.
+
+    Labels only.  Near its wall the edge bump is the mirror half of the
+    centred bump of twice its mass, the stated-scale (1,1) leg, so their
+    blow-up times should agree as the scheme converges; their ratio is
+    reported, not asserted.
+    """
+    legs = {
+        ("(1,1)", "centre"): (1.0, None, BOUNDED),
+        ("(1,1)", "edge"): (1.0, (0.5, 0.0), BLOW_UP),
+        ("(1,1)", "corner"): (1.0, (0.0, 0.0), BLOW_UP),
+        ("(1.5,1)", "corner"): (1.5, (0.0, 0.0), BOUNDED),
+        ("(2,1)", "corner"): (2.0, (0.0, 0.0), BOUNDED),
+    }
+    runs = {key: _dichotomy_leg(128, m, horizon=1.0, sup_multiple=30.0, width=0.08,
+                                mass=0.75 * CRITICAL_MASS_2D, center=center)
+            for key, (m, center, _) in legs.items()}
+    ok = all(runs[key]["label"] == expected for key, (_, _, expected) in legs.items())
+    edge = runs[("(1,1)", "edge")]
+    ratio = edge["t_end"] / stated_blowup_leg["t_end"]
+    report("5 (three fates)", ok,
+           "; ".join(f"{mq} {where}: {r['label']} at t={r['t_end']:.4f} "
+                     f"({r['steps']} steps, {r['elapsed']:.1f}s)"
+                     for (mq, where), r in runs.items())
+           + f"; edge/centre time ratio {ratio:.3f} (edge 6pi against the centred "
+             f"12pi at t={stated_blowup_leg['t_end']:.4f})")
+    for key, (_, _, expected) in legs.items():
+        assert runs[key]["label"] == expected, (key, runs[key])
 
 
 def test_criterion_5_phase_dichotomy_reduced_scale():

@@ -627,26 +627,34 @@ def bump(grid, width=0.08, centre=(0.5, 0.5)):
                             + (ys[None, :] - centre[1]) ** 2) / (2 * width ** 2))
 
 
+def peaked_bump(grid):
+    """bump(grid) on a 2-D grid, its 1-D profile on a 1-D one."""
+    if grid.dim == 2:
+        return bump(grid)
+    x = grid.cell_centers(0)
+    return 100.0 * np.exp(-((x - 0.5) ** 2) / (2 * 0.08 ** 2))
+
+
 class TestNewtonPreconditioner:
     """The V-cycle that preconditions the m != 1 Newton corrections, as
     diffusion_update builds it."""
 
-    @pytest.mark.parametrize("cells", [(128, 128), (128, 64)])
+    @pytest.mark.parametrize("cells", [(128, 128), (128, 64), (32, 32), (64, 64)])
     def test_symmetric_positive_definite(self, monkeypatch, cells):
         g = GridSpec(dim=2, cells=cells, extent=(1.0, 1.0))
         rng = np.random.default_rng(1)
         for P, _, _ in newton_systems(monkeypatch, bump(g, centre=(0.4, 0.55)), g):
             # the bump's d spans far more than _MG_SPREAD: every correction
-            # coarsens down to 16^2 and 16x8
-            assert len(P.levels) == 4
+            # takes all of the grid's levels
+            assert len(P.levels) == len(solver._workspace(g).levels) > 1
             for _ in range(3):
                 x, y = rng.normal(size=cells), rng.normal(size=cells)
                 xPy, yPx = float(np.vdot(x, P(y))), float(np.vdot(y, P(x)))
                 assert abs(xPy - yPx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(P(y))
                 assert float(np.vdot(x, P(x))) > 0.0
 
-    @pytest.mark.parametrize("n, uniform", [(16, False), (128, False), (128, True)],
-                             ids=["16", "128", "128-uniform-support"])
+    @pytest.mark.parametrize("n, uniform", [(16, False), (128, False), (128, True), (64, False)],
+                             ids=["16", "128", "128-uniform-support", "64"])
     def test_pinned_cells_map_to_zero(self, monkeypatch, n, uniform):
         # sigma = 0 at m = 2: du/dw is infinite where u = 0, so those
         # cells are pinned and the preconditioner must leave them at zero
@@ -667,21 +675,29 @@ class TestNewtonPreconditioner:
             assert not z[u == 0.0].any()
             assert z[u > 0.0].any()
 
+    @pytest.mark.parametrize("cells, depth", [
+        ((16, 16), 1), ((32, 32), 2), ((48, 48), 3), ((64, 64), 3), ((128, 128), 4),
+        ((128, 48), 4), ((129, 129), 1), ((200,), 1),
+    ], ids=["16", "32", "48", "64", "128", "128x48", "129", "1d"])
+    def test_depth_follows_the_grid_for_a_peaked_bump(self, monkeypatch, cells, depth):
+        # d spans far more than _MG_SPREAD, so the grid alone sets the depth:
+        # halved while every axis is even and a level has more than 16^2
+        # cells (48^2 -> 24^2 -> 12^2, 128x48 -> 16x6)
+        g = GridSpec(dim=len(cells), cells=cells, extent=(1.0,) * len(cells))
+        for P, _, _ in newton_systems(monkeypatch, peaked_bump(g), g):
+            assert len(P.levels) == depth
+
     @pytest.mark.parametrize("grid, base", [
         (GridSpec(dim=2, cells=(129, 129), extent=(1.0, 1.0)), 0.0),   # odd
-        (GridSpec(dim=2, cells=(64, 64), extent=(1.0, 1.0)), 0.0),     # at most 64^2
+        (GridSpec(dim=2, cells=(16, 16), extent=(1.0, 1.0)), 0.0),     # the coarsest size
         (GridSpec(dim=1, cells=(200,), extent=(1.0,)), 0.0),
         # a 4-level grid, but d = du/dw varies by less than _MG_SPREAD
         (GridSpec(dim=2, cells=(128, 128), extent=(1.0, 1.0)), 50.0),
-    ], ids=["odd", "64", "1d", "128-nearly-uniform"])
+    ], ids=["odd", "16", "1d", "128-nearly-uniform"])
     def test_one_level_is_the_scaled_cosine_inverse(self, monkeypatch, grid, base):
         # a grid that does not coarsen, or a nearly uniform d, gets exactly
         # the cosine-basis preconditioner S (alpha - dt beta lap_h)^(-1) S
-        if grid.dim == 1:
-            x = grid.cell_centers(0)
-            u = 100.0 * np.exp(-((x - 0.5) ** 2) / (2 * 0.08 ** 2))
-        else:
-            u = base + bump(grid)
+        u = base + peaked_bump(grid)
         dt, m, sigma = 0.01, 2.0, 1e-3
         rng = np.random.default_rng(3)
         for P, rhs, _ in newton_systems(monkeypatch, u, grid, m, sigma, dt):
@@ -707,6 +723,18 @@ class TestNewtonPreconditioner:
         assert res.termination == REACHED_T
         assert res.newton_corrections >= res.steps > 5
         assert res.u_solve_iters <= 4 * res.newton_corrections
+
+    def test_iterations_per_correction_64(self):
+        # the same bump at 64^2, as the phase sweep's (2, 1) point runs it:
+        # its V-cycle coarsens to 16^2 and keeps a correction to 1.8 CG
+        # iterations (7.5 with the cosine preconditioner alone)
+        g = grid2d(64)
+        init = make_initial_data(g, "gaussian-bump", mass=1.5 * CRITICAL_MASS_2D, width=0.08)
+        res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
+                  horizon=0.05, samples=2, sup_threshold_multiple=math.inf)
+        assert res.termination == REACHED_T
+        assert res.newton_corrections >= res.steps > 5
+        assert res.u_solve_iters <= 3 * res.newton_corrections
 
     def test_late_step_takes_few_corrections(self):
         # the same bump at t = 0.15 is within 1% of its mean: d is nearly
