@@ -89,9 +89,11 @@ class InitialSpec:
     v0_value: float = 0.0
     centers: tuple[tuple[float, ...], ...] | None = None
 
-    def check(self, grid: GridSpec, seed: int) -> None:
-        """Raise ValueError unless these data can be built on grid: the values
-        the preset reads, and any `centers` given."""
+    def check(self, grid: GridSpec, seed: int) -> np.ndarray:
+        """u0's values on grid (see make_initial_data).  Raises ValueError
+        unless these data can be built there: for the values the preset
+        reads, any `centers` given, a bump with no mass on the grid, and
+        values that overflow."""
         preset = self.preset
         if preset not in ("constant", "gaussian-bump", "two-bumps", "random-nonneg"):
             raise ValueError(f"unknown preset {preset!r}")
@@ -117,6 +119,18 @@ class InitialSpec:
             raise ValueError(f"unknown v0 preset {self.v0_preset!r}")
         if self.v0_preset == "constant" and self.v0_value < 0:
             raise ValueError(f"v0 must be nonnegative, got {self.v0_value}")
+        if preset == "constant":
+            return np.full(grid.cells, float(self.value))
+        if preset == "random-nonneg":
+            return np.random.default_rng(seed).uniform(self.low, self.high, size=grid.cells)
+        default = (0.5,) if preset == "gaussian-bump" else (0.3, 0.7)
+        centers = self.centers or [tuple(a * L for L in grid.extent) for a in default]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            u0 = functools.reduce(np.add, (_gaussian_values(grid, self.mass / len(centers),
+                                                            self.width, c) for c in centers))
+        if not np.isfinite(u0).all():
+            raise ValueError(f"mass {self.mass} overflows the bumps' values")
+        return u0
 
 
 def _gaussian_values(grid: GridSpec, mass: float, width: float,
@@ -129,6 +143,8 @@ def _gaussian_values(grid: GridSpec, mass: float, width: float,
         r2 = r2 + (x ** 2).reshape(shape)
     bump = np.exp(-r2 / (2.0 * width * width))
     raw_mass = bump.sum() * grid.cell_volume
+    if not raw_mass > 0.0:
+        raise ValueError(f"the bump at {list(center)} has no mass on the grid")
     return bump * (mass / raw_mass)
 
 
@@ -149,18 +165,7 @@ def make_initial_data(grid: GridSpec, preset: str, *, seed: int = 0,
     copies u0.
     """
     spec = InitialSpec(preset, **values)
-    spec.check(grid, seed)
-    if preset == "constant":
-        u0 = constant_field(grid, spec.value)
-    elif preset in ("gaussian-bump", "two-bumps"):
-        default = (0.5,) if preset == "gaussian-bump" else (0.3, 0.7)
-        centers = spec.centers or [tuple(a * L for L in grid.extent) for a in default]
-        bumps = (_gaussian_values(grid, spec.mass / len(centers), spec.width, c)
-                 for c in centers)
-        u0 = Field(grid, functools.reduce(np.add, bumps))
-    else:
-        rng = np.random.default_rng(seed)
-        u0 = Field(grid, rng.uniform(spec.low, spec.high, size=grid.cells))
+    u0 = Field(grid, spec.check(grid, seed))
     v0 = constant_field(grid, spec.v0_value) if spec.v0_preset == "constant" else u0
     return InitialData(u0=u0, v0=v0)
 

@@ -87,7 +87,6 @@ def write_run_metadata(cfg: RunConfig, result: RunResult,
         "v_w1inf_0": tracker.v_w1inf_0,
         "gamma": _jsonable(tracker.gamma if tracker.gamma is not None else math.nan),
         "running_max_sup_u": result.running_max_sup_u,
-        "running_max_sup_grad_v": result.running_max_sup_grad_v,
         "comparison_violation": result.comparison_violation,
         "versions": _VERSIONS,
     }

@@ -109,6 +109,11 @@ into a workspace and threads never share one, so concurrent runs stay
 independent.  At 128^2 an array is 128 KiB, glibc's mmap threshold, so a
 freed temporary would go back to the kernel and fault in again at its next
 allocation.
+
+run() watches only what its stop reasons and its report need: sup u at each
+step and the comparison check on sup v.  A step computes no diagnostics;
+those, sup |grad v| among them, are the DiagnosticsTracker's, recorded with
+each sample.  A sample's u is the state's own read-only array.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Field, GridSpec, _FaceBuffer, _Laplacian, face_gradient_sup
+from .grid import Field, GridSpec, _FaceBuffer, _Laplacian
 from .model import InitialData, ModelParams
 
 
@@ -174,9 +179,6 @@ class StepOutcome:
     u_solve_iters: int = 0
     # DT_COLLAPSED or NONFINITE when the run must stop here, else None
     stop: str | None = None
-    # sup |grad v| of the pre-step v, reused by run-level monitors when the
-    # flux assembly already produced the gradients (nan otherwise)
-    sup_grad_v: float = math.nan
 
 
 def _power(x: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -563,23 +565,19 @@ class _StepWork:
 
         out_rate, in_rate = ws.out_rate, ws.in_rate
         out_rate[...] = in_rate[...] = 0.0
-        sup_dv = math.nan
         if params.chemotaxis:
-            sup_dv = 0.0
             uq = _power(uv, params.q, ws.uq).reshape(-1)
             vf, mask = v.values.reshape(-1), ws.mask.reshape(-1)
             for bufs, h in zip(ws.flux, grid.spacing):
                 F = bufs[0]
                 dv = F.diff(vf[F.st:], vf[:-F.st])
                 dv *= 1.0 / h
-                sup_dv = max(sup_dv, float(np.abs(dv, out=bufs[1].faces).max()))
                 # the donor-cell flux u_donor^q dv
                 _upwind(bufs, dv, uq, mask, 1.0 / h, out_rate, in_rate)
         rate += in_rate
         rate -= out_rate
 
         self.grid, self.u, self.out_rate, self.in_rate = grid, u, out_rate, in_rate
-        self.sup_grad_v = sup_dv
         self.rate_max = float(np.abs(rate, out=rate).max()) if self.finite else math.inf
 
     def dt_advection(self) -> float:
@@ -811,8 +809,7 @@ def step(state: SimState, params: ModelParams, ctrl: StepControl,
     finite = math.isfinite(float(u_new.values.sum()) + float(v_new.values.sum()))
     return StepOutcome(state=new_state, dt_used=dt, v_solve_iters=iters,
                        newton_corrections=corrections, u_solve_iters=u_iters,
-                       stop=None if finite else NONFINITE,
-                       sup_grad_v=work.sup_grad_v)
+                       stop=None if finite else NONFINITE)
 
 
 @dataclass(eq=False)
@@ -823,7 +820,6 @@ class RunResult:
     sample_times: list[float]
     u_samples: list[np.ndarray]
     running_max_sup_u: float
-    running_max_sup_grad_v: float
     comparison_violation: float
     steps: int
     # Newton corrections of the diffusion solves, their CG iterations, and
@@ -838,16 +834,19 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
         tracker=None, wall_clock_budget: float | None = None) -> RunResult:
     """Integrate from the initial data to time `horizon` or a stop reason.
 
-    Diagnostics records are emitted at `samples` evenly spaced times
-    (including t = 0 and the final state); the sampled u fields are kept
-    for level-set post-processing.  Termination reasons: reached_T,
+    A sample (the time, u, and the tracker's record if there is a tracker)
+    is taken at t = 0, at each of the `samples` - 1 evenly spaced times up
+    to the horizon that the run reaches, and at the final state if it is
+    not one of them.  The sampled u are the states' own read-only arrays,
+    kept for level-set post-processing.  Termination reasons: reached_T,
     dt_collapsed, nonfinite, sup_threshold (sup u above
     sup_threshold_multiple times its initial value), max_steps,
     wall_budget.
 
-    Per-step monitors: running sup of u and of |grad v| (both cheap), plus
-    the comparison check sup v <= max(sup v0, running sup u); the worst
-    violation is reported rather than raised.
+    Per-step monitors: the running sup of u, and the comparison check
+    sup v <= max(sup v0, running sup u), whose worst violation is reported
+    rather than raised.  Every other diagnostic, sup |grad v| among them,
+    is the tracker's, at the samples.
     """
     import time as _time
 
@@ -861,14 +860,16 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
     sup_cap = sup_threshold_multiple * sup_u0 if sup_u0 > 0 else math.inf
     targets = [horizon * j / (samples - 1) for j in range(1, samples - 1)] + [horizon]
 
-    records = []
-    sample_times = [0.0]
-    u_samples = [np.array(state.u.values)]
-    if tracker is not None:
-        records.append(tracker.record(state))
+    records, sample_times, u_samples = [], [], []
 
+    def sample(at: SimState) -> None:
+        sample_times.append(at.t)
+        u_samples.append(at.u.values)
+        if tracker is not None:
+            records.append(tracker.record(at))
+
+    sample(state)
     running_sup_u = sup_u0
-    running_sup_gv = face_gradient_sup(state.v)
     sup_v0 = state.v.max()
     violation = 0.0
     corrections = u_iters = v_iters = 0
@@ -898,35 +899,22 @@ def run(initial: InitialData, params: ModelParams, ctrl: StepControl,
 
         sup_u = state.u.max()
         running_sup_u = max(running_sup_u, sup_u)
-        # pre-step gradients come free with the fluxes; the final state's
-        # gradient is folded in after the loop
-        gv = outcome.sup_grad_v
-        running_sup_gv = max(running_sup_gv,
-                             gv if not math.isnan(gv) else face_gradient_sup(state.v))
         violation = max(violation, state.v.max() - max(sup_v0, running_sup_u))
 
         if state.t >= targets[next_target]:
             next_target += 1
-            sample_times.append(state.t)
-            u_samples.append(np.array(state.u.values))
-            if tracker is not None:
-                records.append(tracker.record(state))
+            sample(state)
 
         if sup_u > sup_cap:
             termination = SUP_THRESHOLD
             break
 
-    running_sup_gv = max(running_sup_gv, face_gradient_sup(state.v))
     if sample_times[-1] != state.t:
-        sample_times.append(state.t)
-        u_samples.append(np.array(state.u.values))
-        if tracker is not None:
-            records.append(tracker.record(state))
+        sample(state)
 
     return RunResult(records=records, final_state=state, termination=termination,
                      sample_times=sample_times, u_samples=u_samples,
                      running_max_sup_u=running_sup_u,
-                     running_max_sup_grad_v=running_sup_gv,
                      comparison_violation=violation, steps=state.step,
                      newton_corrections=corrections, u_solve_iters=u_iters,
                      v_solve_iters=v_iters)

@@ -160,6 +160,9 @@ def fail_point_at_m(monkeypatch, m):
     monkeypatch.setattr(sweep, "execute_run", execute_run)
 
 
+FAR_BUMP = {"preset": "gaussian-bump", "mass": 1.0, "width": 0.1, "centers": [[100.0, 100.0]]}
+HUGE_BUMP = {"preset": "gaussian-bump", "mass": 1e308, "width": 0.1}
+
 # Documents that must fail at parse time, not when their job runs, each
 # with the start of the path-qualified error it must produce.
 MALFORMED = [
@@ -180,6 +183,19 @@ MALFORMED = [
                  "initial.centers[0][0]: expected a finite number", id="center-strings"),
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "width": 0.1}),
                  "initial: width 0.1 under-resolved", id="width-under-resolved"),
+    # initial data that parse but could not be built: a bump with no mass on
+    # the grid, and a mass whose bump overflows
+    pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]}, initial=FAR_BUMP),
+                 "initial: the bump at [100.0, 100.0] has no mass on the grid",
+                 id="bump-off-grid"),
+    pytest.param(_sweep_template(grid={"dim": 2, "cells": [32, 32]}, initial=FAR_BUMP),
+                 "template.initial: the bump at [100.0, 100.0] has no mass on the grid",
+                 id="template-bump-off-grid"),
+    pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]}, initial=HUGE_BUMP),
+                 "initial: mass 1e+308 overflows the bumps' values", id="bump-overflows"),
+    pytest.param(_sweep_template(grid={"dim": 2, "cells": [32, 32]}, initial=HUGE_BUMP),
+                 "template.initial: mass 1e+308 overflows the bumps' values",
+                 id="template-bump-overflows"),
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "mass": -1, "width": 0.3}),
                  "initial: requested mass must be > 0", id="mass-negative"),
     pytest.param(small_run_doc(initial={"preset": "constant", "v0_preset": "zzz"}),
@@ -422,6 +438,13 @@ class TestOutputs:
         assert meta["config"] == run_config_to_dict(cfg)
         assert meta["termination"] == result.termination
         assert "versions" in meta and "s_used" in meta
+
+    def test_metadata_keys(self, tmp_path):
+        self.run_and_emit(tmp_path)
+        meta = json.loads((tmp_path / METADATA_JSON).read_text())
+        assert list(meta) == ["config", "termination", "t_end", "steps", "s_used",
+                              "p_fr1_used", "N_used", "v_w1inf_0", "gamma",
+                              "running_max_sup_u", "comparison_violation", "versions"]
 
     def test_ladder_csv_shape(self, tmp_path):
         cfg, _ = self.run_and_emit(tmp_path)

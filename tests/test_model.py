@@ -99,6 +99,12 @@ class TestInitialData:
         with pytest.raises(ValueError):
             make_initial_data(unit_square(16), "gaussian-bump", mass=1.0, width=0.1)
 
+    def test_center_outside_the_box(self):
+        # a bump centred off the box keeps the mass its tail puts on the grid
+        data = make_initial_data(unit_square(32), "gaussian-bump", mass=1.0, width=0.1,
+                                 centers=[(-0.05, 0.5)])
+        assert integrate(data.u0) == pytest.approx(1.0, rel=1e-10)
+
     def test_rejects_unknown_preset(self):
         with pytest.raises(ValueError):
             make_initial_data(unit_square(), "mystery", width=0.2)

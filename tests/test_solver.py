@@ -301,14 +301,13 @@ def slice_laplacian(x, grid):
 
 
 def slice_rates(u, v, grid, q):
-    """The chemotactic outflow and inflow rates and sup |dv| in the per-axis
-    slice formulation, as an oracle."""
-    out_rate, in_rate, sup_dv = np.zeros(grid.cells), np.zeros(grid.cells), 0.0
+    """The chemotactic outflow and inflow rates in the per-axis slice
+    formulation, as an oracle."""
+    out_rate, in_rate = np.zeros(grid.cells), np.zeros(grid.cells)
     uq = _power(u, q)
     for axis, h in enumerate(grid.spacing):
         left, right = axis_slices(grid.dim, axis)
         dv = (v[right] - v[left]) * (1.0 / h)
-        sup_dv = max(sup_dv, float(np.abs(dv).max()))
         F = np.where(dv > 0.0, uq[left], uq[right]) * dv
         Fp = np.maximum(F, 0.0)
         Fm = Fp - F
@@ -318,7 +317,7 @@ def slice_rates(u, v, grid, q):
         out_rate[right] += Fm
         in_rate[left] += Fm
         in_rate[right] += Fp
-    return out_rate, in_rate, sup_dv
+    return out_rate, in_rate
 
 
 def slice_limiter(r, w, lw, dt, grid):
@@ -387,7 +386,7 @@ def layout_data(grid, kind, seed=0):
 def step_rates(u, v, grid, q):
     work = _StepWork(Field._adopt(grid, u.copy()), Field._adopt(grid, v.copy()),
                      ModelParams(m=2.0, q=q, sigma=0.01))
-    return work.out_rate.copy(), work.in_rate.copy(), work.sup_grad_v
+    return work.out_rate.copy(), work.in_rate.copy()
 
 
 class TestFaceLayout:
@@ -413,11 +412,10 @@ class TestFaceLayout:
                     assert grad_square_integral(grid, x) == pytest.approx(ref_sq, rel=1e-14,
                                                                           nan_ok=True)
             for q in (1.0, 0.5, 2.0):
-                out_rate, in_rate, sup_dv = step_rates(u, v, grid, q)
-                ref_out, ref_in, ref_sup = slice_rates(u, v, grid, q)
+                out_rate, in_rate = step_rates(u, v, grid, q)
+                ref_out, ref_in = slice_rates(u, v, grid, q)
                 assert out_rate.tobytes() == ref_out.tobytes()
                 assert in_rate.tobytes() == ref_in.tobytes()
-                assert repr(sup_dv) == repr(ref_sup)
 
     @pytest.mark.parametrize("grid", LAYOUT_GRIDS)
     def test_limiter_matches_slice_oracle_bit_for_bit(self, grid):
@@ -443,11 +441,11 @@ class TestFaceLayout:
         v = 3.0 * u
         lap = _Laplacian(grid)
         lu = lap(u, np.empty(grid.cells))
-        out_rate, in_rate, _ = step_rates(u, v, grid, 1.0)
+        out_rate, in_rate = step_rates(u, v, grid, 1.0)
         assert not lap.diffs[-1].faces.any()
         assert not solver._workspace(grid).flux[-1][0].faces.any()
         assert lu.tobytes() == slice_laplacian(u, grid).tobytes()
-        ref_out, ref_in, _ = slice_rates(u, v, grid, 1.0)
+        ref_out, ref_in = slice_rates(u, v, grid, 1.0)
         assert out_rate.tobytes() == ref_out.tobytes()
         assert in_rate.tobytes() == ref_in.tobytes()
 
@@ -459,12 +457,12 @@ class TestFaceLayout:
         u, v = layout_data(grid, "random")
         far = 0 if column == -1 else -1
         clean_lap = _Laplacian(grid)(u, np.empty(grid.cells))
-        clean = step_rates(u, v, grid, 0.5)[:2]
+        clean = step_rates(u, v, grid, 0.5)
         u[..., column] = np.inf
         v[..., column] = np.inf
         with np.errstate(all="ignore"):
             lu = _Laplacian(grid)(u, np.empty(grid.cells))
-            rates = step_rates(u, v, grid, 0.5)[:2]
+            rates = step_rates(u, v, grid, 0.5)
         assert lu[..., far].tobytes() == clean_lap[..., far].tobytes()
         for rate, clean_rate in zip(rates, clean):
             assert np.isfinite(rate[..., far]).all()
@@ -1329,3 +1327,12 @@ class TestRun:
                   sup_threshold_multiple=math.inf)
         assert res.sample_times[-1] == res.final_state.t
         assert len(res.sample_times) == len(res.u_samples)
+
+    def test_samples_are_the_states_own_arrays(self):
+        # a sample keeps the state's read-only u, not a copy of it
+        init = make_initial_data(grid2d(16), "gaussian-bump", mass=1.0, width=0.15)
+        res = run(init, ModelParams(m=2.0, q=1.0, sigma=1e-3), StepControl(),
+                  horizon=2e-3, samples=3, sup_threshold_multiple=math.inf)
+        assert res.u_samples[0] is init.u0.values
+        assert res.u_samples[-1] is res.final_state.u.values
+        assert not any(u.flags.writeable for u in res.u_samples)
