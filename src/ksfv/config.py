@@ -3,13 +3,13 @@
 A config document is one JSON object whose "kind" is "run" or "sweep".  The
 config dataclasses are the schema: their fields are the keys, their
 annotations the types and their defaults the values of omitted keys.  Unknown
-keys are rejected, every invariant is checked at parse time (the dataclasses'
-own, among them StepControl's check that dt_min cannot collapse every step,
-InitialSpec.check on the grid, and each sweep point's, as SweepConfig builds
-its points), and the echo parses back to an equal config.  Three defaults
-are derived instead, each once below: grid.extent is 1.0 per axis,
-control.dt_min 1e-12 x horizon, and a sweep template's m and q placeholders
-of 1.0.
+keys are rejected, and the parser checks only keys and types: every
+invariant is a dataclass's own, among them StepControl's check that dt_min
+cannot collapse every step and RunConfig's check of its initial data, which
+a sweep runs at each point's m and q as SweepConfig builds its points.  The
+echo parses back to an equal config.  Three defaults are derived instead,
+each once below: grid.extent is 1.0 per axis, control.dt_min 1e-12 x
+horizon, and a sweep template's m and q placeholders of 1.0.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
+import numpy as np
+
 from .diagnostics import DiagnosticsConfig, analytic_exponents
 from .grid import GridSpec
 from .model import InitialData, InitialSpec, ModelParams, make_initial_data
-from .solver import StepControl
+from .solver import StepControl, _Potential, _power
 
 
 class ConfigError(ValueError):
@@ -63,8 +65,20 @@ class RunConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
-        if None not in (self.model, self.grid, self.diagnostics):  # else the parser reports it
-            analytic_exponents(self.model, self.diagnostics, self.grid.dim)
+        if None in (self.model, self.grid, self.initial, self.diagnostics):
+            return  # the parser reports the section
+        analytic_exponents(self.model, self.diagnostics, self.grid.dim)
+        try:
+            u0 = self.initial.check(self.grid, self.seed)
+        except ValueError as e:
+            raise ValueError(f"initial: {e}") from None
+        m, q = self.model.m, self.model.q
+        # what the first step computes at this (m, sigma, q), tested as _StepWork tests it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(float(_Potential(self.model).w(u0).sum())):
+                raise ValueError(f"initial: the potential (u0+sigma)^m overflows at m={m}, q={q}")
+            if self.model.chemotaxis and not math.isfinite(float(_power(u0, q).sum())):
+                raise ValueError(f"initial: u0^q overflows at m={m}, q={q}")
 
     def make_initial(self) -> InitialData:
         return make_initial_data(self.grid, seed=self.seed, **vars(self.initial))
@@ -169,33 +183,24 @@ def _parse_run(doc, path: str, errors: list[str], model_derive=None) -> RunConfi
     """A RunConfig from a run document (path "") or a sweep's template."""
     if not isinstance(doc, dict):
         return _read(RunConfig, doc, path, errors)   # reports the type
-    n = len(errors)
-
-    def at(name):
-        return f"{path}.{name}" if path else name
-
+    n, prefix = len(errors), f"{path}." if path else ""
     doc = dict(doc)
     if (kind := doc.pop("kind", "run")) != "run":   # a template's: parse_config reads a run's
-        errors.append(f"{at('kind')}: expected 'run', got {kind!r}")
+        errors.append(f"{prefix}kind: expected 'run', got {kind!r}")
 
     def section(cls, name, derive=None, **given):
-        return _read(cls, doc.get(name, {}), at(name), errors, derive, **given)
+        return _read(cls, doc.get(name, {}), prefix + name, errors, derive, **given)
 
     horizon = doc.get("horizon")
-    grid = section(GridSpec, "grid", lambda v: {"extent": (1.0,) * v["dim"]})
-    initial = section(InitialSpec, "initial")
     cfg = _read(
-        RunConfig, doc, path or "run", errors, grid=grid, initial=initial,
+        RunConfig, doc, path or "run", errors,
+        grid=section(GridSpec, "grid", lambda v: {"extent": (1.0,) * v["dim"]}),
+        initial=section(InitialSpec, "initial"),
         model=section(ModelParams, "model", model_derive),
         control=section(StepControl, "control", lambda v: {"dt_min": 1e-12 * horizon}
                         if _is_number(horizon) and horizon > 0 else {}),
         diagnostics=section(DiagnosticsConfig, "diagnostics"),
         thresholds=section(Thresholds, "thresholds"))
-    if cfg and grid and initial:
-        try:
-            initial.check(grid, cfg.seed)
-        except ValueError as e:
-            errors.append(f"{at('initial')}: {e}")
     return cfg if len(errors) == n else None
 
 

@@ -77,7 +77,8 @@ class InitialData:
 @dataclass(frozen=True)
 class InitialSpec:
     """Initial data as a named preset and the values it reads (see
-    make_initial_data): a run document's `initial` section."""
+    make_initial_data): a run document's `initial` section.  RunConfig and
+    make_initial_data run its one check on a grid."""
 
     preset: str = "gaussian-bump"
     value: float = 1.0
@@ -95,11 +96,11 @@ class InitialSpec:
         reads, any `centers` given, a bump with no mass on the grid, and
         values that overflow."""
         preset = self.preset
-        if preset not in ("constant", "gaussian-bump", "two-bumps", "random-nonneg"):
+        if preset not in ("constant", "gaussian-bump", "random-nonneg"):
             raise ValueError(f"unknown preset {preset!r}")
         if preset == "constant" and self.value < 0:
             raise ValueError(f"constant preset needs value >= 0, got {self.value}")
-        if preset in ("gaussian-bump", "two-bumps"):
+        if preset == "gaussian-bump":
             if self.mass <= 0:
                 raise ValueError(f"requested mass must be > 0, got {self.mass}")
             if self.width < 2.0 * max(grid.spacing):
@@ -123,8 +124,7 @@ class InitialSpec:
             return np.full(grid.cells, float(self.value))
         if preset == "random-nonneg":
             return np.random.default_rng(seed).uniform(self.low, self.high, size=grid.cells)
-        default = (0.5,) if preset == "gaussian-bump" else (0.3, 0.7)
-        centers = self.centers or [tuple(a * L for L in grid.extent) for a in default]
+        centers = self.centers or [tuple(0.5 * L for L in grid.extent)]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             u0 = functools.reduce(np.add, (_gaussian_values(grid, self.mass / len(centers),
                                                             self.width, c) for c in centers))
@@ -158,8 +158,6 @@ def make_initial_data(grid: GridSpec, preset: str, *, seed: int = 0,
       gaussian-bump  - normalized bumps at `centers` (default: the box
                        centre) sharing `mass` equally; one bump has
                        integral exactly `mass`
-      two-bumps      - the same, with default centres at 0.3 and 0.7 of
-                       each axis
       random-nonneg  - seeded uniform values in [low, high)
     v0 is a constant field (v0_value) unless v0_preset = "match", which
     copies u0.

@@ -1,6 +1,6 @@
-"""Artifact writers: per-run CSV, metadata JSON, ladder CSV, sweep JSON.
-The run directory's format is this module's: it writes every file of one,
-and only rebuild_run_ladder reads one back.
+"""Artifact writers: per-run CSV, metadata JSON, ladder CSV, sampled u, sweep
+JSON.  The run directory's format is this module's: it writes every file of
+one, and only rebuild_run_ladder reads one back.
 
 All real numbers are written with their shortest round-trip decimal
 representation (Python repr), so files are reproducible byte for byte and
@@ -29,7 +29,6 @@ from .sweep import SweepResult
 RUN_CSV = "run.csv"
 METADATA_JSON = "metadata.json"
 LADDER_CSV = "ladder.csv"
-SERIES_TIMES_NPY = "series_t.npy"
 SERIES_FIELDS_NPY = "series_u.npy"
 SWEEP_JSON = "sweep.json"
 _VERSIONS = {"ksfv": __version__, "numpy": np.__version__, "python": sys.version.split()[0]}
@@ -102,18 +101,13 @@ def write_ladder_csv(ladder: DeGiorgiLadder | None, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_series(result: RunResult, out_dir: Path) -> None:
-    """Sampled u fields as plain .npy (no zip timestamps, so reproducible)."""
-    np.save(out_dir / SERIES_TIMES_NPY, np.asarray(result.sample_times))
-    np.save(out_dir / SERIES_FIELDS_NPY, np.stack(result.u_samples))
-
-
 def rebuild_run_ladder(run_dir: Path, K: float, n_max: int) -> DeGiorgiLadder:
     """The truncation ladder at K and n_max of the run stored in run_dir.
     It reads only the echo's model.m, model.q, grid.cells and grid.extent,
-    s_used, N_used and the two series, so any earlier config schema reads
-    alike.  Raises OSError, ValueError, KeyError or TypeError on a run
-    directory it cannot read, or whose fields do not match grid.cells."""
+    s_used, N_used, the sample times (run.csv's t) and the sampled u, so any
+    earlier config schema reads alike.  Raises OSError, ValueError, KeyError
+    or TypeError on a run directory it cannot read, or whose fields do not
+    match grid.cells."""
     meta = json.loads((run_dir / METADATA_JSON).read_text())
     model, grid, errors = meta["config"]["model"], meta["config"]["grid"], []
     m = _convert(float, model["m"], "config.model.m", errors)
@@ -126,12 +120,13 @@ def rebuild_run_ladder(run_dir: Path, K: float, n_max: int) -> DeGiorgiLadder:
         raise ValueError("; ".join(errors))
     cell_volume = GridSpec(dim=len(cells), cells=cells, extent=extent).cell_volume
     m_s, _ = exponent_ms_qs(s_used, m, q, N_used)
-    times = np.load(run_dir / SERIES_TIMES_NPY)
+    header, rows = read_run_csv(run_dir / RUN_CSV)
+    times = [row[header.index("t")] for row in rows]
     u_samples = np.load(run_dir / SERIES_FIELDS_NPY)
     if u_samples.shape[1:] != cells:
         raise ValueError(f"{SERIES_FIELDS_NPY} holds fields of shape {u_samples.shape[1:]}, "
                          f"but config.grid.cells is {cells}")
-    return build_ladder(list(times), list(u_samples), cell_volume, K=K, n_max=n_max, m_s=m_s)
+    return build_ladder(times, list(u_samples), cell_volume, K=K, n_max=n_max, m_s=m_s)
 
 
 def emit_run_outputs(cfg: RunConfig, result: RunResult, tracker: DiagnosticsTracker,
@@ -140,7 +135,8 @@ def emit_run_outputs(cfg: RunConfig, result: RunResult, tracker: DiagnosticsTrac
     write_run_csv(result.records, out_dir / RUN_CSV)
     write_run_metadata(cfg, result, tracker, out_dir / METADATA_JSON)
     write_ladder_csv(ladder, out_dir / LADDER_CSV)
-    write_series(result, out_dir)
+    # plain .npy, without zip timestamps; the sample times are run.csv's t
+    np.save(out_dir / SERIES_FIELDS_NPY, np.stack(result.u_samples))
 
 
 def write_sweep_json(result: SweepResult, path: Path) -> None:

@@ -686,8 +686,9 @@ class _StepWork:
         after each correction.  At m = 1 the operator I - dt lap_h has
         constant coefficients and _solve_shifted solves it, with no CG.
         Otherwise Newton correction k solves (diag(du/dw) - dt lap_h) dw =
-        -res, which is symmetric positive definite, by CG preconditioned with
-        the multigrid V-cycle _NewtonPreconditioner (inexact Newton).  Vacuum
+        res, which is symmetric positive definite, and subtracts dw from w, as
+        _solve_shifted subtracts its correction.  CG solves it preconditioned
+        with the multigrid V-cycle _NewtonPreconditioner (inexact Newton).  Vacuum
         cells of a degenerate potential (sigma = 0, m > 1, where du/dw is
         infinite) are pinned at w = 0: they can receive mass in this step
         but emit none.  Correction k's CG stops at max(tol, eta_k |res_k|),
@@ -734,10 +735,9 @@ class _StepWork:
                 return out
 
             P = _NewtonPreconditioner(self.grid, d, dt, active if pinned else None)
-            dw, iters = _cg(apply_J, np.negative(res, out=res), max(tol, eta * res_norm),
-                            _MAX_CG_ITERS, P, ws.cg)
+            dw, iters = _cg(apply_J, res, max(tol, eta * res_norm), _MAX_CG_ITERS, P, ws.cg)
             cg_iters += iters
-            w += dw
+            w -= dw
             np.maximum(w, pot.floor, out=w)
         return None, None, _MAX_CORRECTIONS, cg_iters
 

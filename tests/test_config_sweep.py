@@ -13,9 +13,8 @@ from ksfv.cli import main as cli_main
 from ksfv.config import (ConfigError, RunConfig, SweepConfig, parse_config,
                          run_config_to_dict, sweep_config_to_dict)
 from ksfv.diagnostics import DiagnosticsConfig, ladder_for_run
-from ksfv.outputs import (LADDER_CSV, METADATA_JSON, RUN_CSV, SERIES_FIELDS_NPY,
-                          SERIES_TIMES_NPY, SWEEP_JSON, emit_run_outputs, read_run_csv,
-                          write_sweep_json)
+from ksfv.outputs import (LADDER_CSV, METADATA_JSON, RUN_CSV, SERIES_FIELDS_NPY, SWEEP_JSON,
+                          emit_run_outputs, read_run_csv, write_sweep_json)
 from ksfv.solver import run
 from ksfv.sweep import (BLOW_UP, BOUNDED, INCONCLUSIVE, Classification, classify_run,
                         execute_run, run_sweep)
@@ -118,7 +117,7 @@ class TestParseConfig:
         assert (cfg.diagnostics.s, cfg.diagnostics.p_fr1) == (3, 5.0)
         assert parse_config(json.dumps(run_config_to_dict(cfg))) == cfg
         for initial in ({"preset": "gaussian-bump", "width": 0.3, "centers": [[0.25, 0.5]]},
-                        {"preset": "two-bumps", "width": 0.3,
+                        {"preset": "gaussian-bump", "width": 0.3,
                          "centers": [[0.25, 0.5], [0.75, 0.5], [0.5, 0.25]]}):
             cfg = parse_config(json.dumps(small_run_doc(initial=initial)))
             echoed = run_config_to_dict(cfg)
@@ -134,6 +133,18 @@ class TestParseConfig:
         assert len(blocks) == 1
         cfg = parse_config(blocks[0])
         assert parse_config(json.dumps(run_config_to_dict(cfg))) == cfg
+
+    def test_library_built_config_checks_its_initial_data(self):
+        # the check is RunConfig's own, not the parser's
+        cfg = parse_config(json.dumps(small_run_doc(grid=GRID_32, initial=TALL_BUMP)))
+        with pytest.raises(ValueError, match=r"^initial: the potential \(u0\+sigma\)\^m "
+                                             r"overflows at m=40.0, q=1.0$"):
+            replace(cfg, model=replace(cfg.model, m=40.0))
+        # with chemotaxis off the step computes no u^q
+        off = replace(cfg.model, q=40.0, chemotaxis=False)
+        assert replace(cfg, model=off).model == off
+        with pytest.raises(ValueError, match=r"^initial: u0\^q overflows"):
+            replace(cfg, model=replace(off, chemotaxis=True))
 
     def test_grid_invariants_enforced(self):
         doc = small_run_doc(grid={"dim": 2, "cells": [2, 2]})
@@ -162,13 +173,36 @@ def fail_point_at_m(monkeypatch, m):
 
 FAR_BUMP = {"preset": "gaussian-bump", "mass": 1.0, "width": 0.1, "centers": [[100.0, 100.0]]}
 HUGE_BUMP = {"preset": "gaussian-bump", "mass": 1e308, "width": 0.1}
+GRID_32 = {"dim": 2, "cells": [32, 32]}
+# u0 is finite, (u0+sigma)^2 overflows: the first step could not start at m = 2
+SQUARE_OVERFLOWS = {"preset": "gaussian-bump", "mass": 1e300, "width": 0.1}
+# (u0+sigma)^2 is finite, but u0^40 overflows (sup u0 is about 1.6e8)
+TALL_BUMP = {"preset": "gaussian-bump", "mass": 1e7, "width": 0.1}
+
+# Initial data on which the first step could not start at the run's own m
+# and q, or at a sweep point's: a finite u0 whose powers overflow.  Each is
+# the document's one error.
+STEP_CANNOT_START = [
+    pytest.param(small_run_doc(grid=GRID_32, initial=SQUARE_OVERFLOWS),
+                 "run: initial: the potential (u0+sigma)^m overflows at m=2.0, q=1.0",
+                 id="potential-overflows"),
+    pytest.param(_sweep_template(grid=GRID_32, initial=SQUARE_OVERFLOWS),
+                 "template: initial: the potential (u0+sigma)^m overflows at m=2.0, q=1.0",
+                 id="template-potential-overflows"),
+    pytest.param({**_sweep_template(grid=GRID_32, initial=TALL_BUMP), "m_grid": [1.0, 40.0]},
+                 "sweep: initial: the potential (u0+sigma)^m overflows at m=40.0, q=1.0",
+                 id="sweep-point-m-40"),
+    pytest.param({**_sweep_template(grid=GRID_32, initial=TALL_BUMP), "m_grid": [1.0],
+                  "q_grid": [1.0, 40.0]},
+                 "sweep: initial: u0^q overflows at m=1.0, q=40.0", id="sweep-point-q-40"),
+]
 
 # Documents that must fail at parse time, not when their job runs, each
 # with the start of the path-qualified error it must produce.
 MALFORMED = [
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "centers": 5}),
                  "initial.centers: expected a list", id="center-scalar"),
-    pytest.param(small_run_doc(initial={"preset": "two-bumps", "centers": [1, 2]}),
+    pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "centers": [1, 2]}),
                  "initial.centers[0]: expected a list", id="centers-flat"),
     pytest.param(_sweep_template(model="x"),
                  "template.model: expected an object", id="template-model-string"),
@@ -178,28 +212,32 @@ MALFORMED = [
                  "template.kind: expected 'run', got 42", id="template-kind-number"),
     pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]},
                                initial={"preset": "gaussian-bump", "centers": [[0.5]]}),
-                 "initial: center [0.5] needs 2 coordinates", id="center-1d-on-2d"),
+                 "run: initial: center [0.5] needs 2 coordinates", id="center-1d-on-2d"),
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "centers": [["a", "b"]]}),
                  "initial.centers[0][0]: expected a finite number", id="center-strings"),
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "width": 0.1}),
-                 "initial: width 0.1 under-resolved", id="width-under-resolved"),
+                 "run: initial: width 0.1 under-resolved", id="width-under-resolved"),
     # initial data that parse but could not be built: a bump with no mass on
     # the grid, and a mass whose bump overflows
-    pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]}, initial=FAR_BUMP),
-                 "initial: the bump at [100.0, 100.0] has no mass on the grid",
+    pytest.param(small_run_doc(grid=GRID_32, initial=FAR_BUMP),
+                 "run: initial: the bump at [100.0, 100.0] has no mass on the grid",
                  id="bump-off-grid"),
-    pytest.param(_sweep_template(grid={"dim": 2, "cells": [32, 32]}, initial=FAR_BUMP),
-                 "template.initial: the bump at [100.0, 100.0] has no mass on the grid",
+    pytest.param(_sweep_template(grid=GRID_32, initial=FAR_BUMP),
+                 "template: initial: the bump at [100.0, 100.0] has no mass on the grid",
                  id="template-bump-off-grid"),
-    pytest.param(small_run_doc(grid={"dim": 2, "cells": [32, 32]}, initial=HUGE_BUMP),
-                 "initial: mass 1e+308 overflows the bumps' values", id="bump-overflows"),
-    pytest.param(_sweep_template(grid={"dim": 2, "cells": [32, 32]}, initial=HUGE_BUMP),
-                 "template.initial: mass 1e+308 overflows the bumps' values",
+    pytest.param(small_run_doc(grid=GRID_32, initial=HUGE_BUMP),
+                 "run: initial: mass 1e+308 overflows the bumps' values", id="bump-overflows"),
+    pytest.param(_sweep_template(grid=GRID_32, initial=HUGE_BUMP),
+                 "template: initial: mass 1e+308 overflows the bumps' values",
                  id="template-bump-overflows"),
+    *STEP_CANNOT_START,
     pytest.param(small_run_doc(initial={"preset": "gaussian-bump", "mass": -1, "width": 0.3}),
-                 "initial: requested mass must be > 0", id="mass-negative"),
+                 "run: initial: requested mass must be > 0", id="mass-negative"),
+    # one bump preset: bumps at `centers`, by default the box centre
+    pytest.param(small_run_doc(initial={"preset": "two-bumps", "width": 0.3}),
+                 "run: initial: unknown preset 'two-bumps'", id="retired-two-bumps"),
     pytest.param(small_run_doc(initial={"preset": "constant", "v0_preset": "zzz"}),
-                 "initial: unknown v0 preset", id="v0-preset-unknown"),
+                 "run: initial: unknown v0 preset", id="v0-preset-unknown"),
     pytest.param(small_run_doc(grid={"dim": 2, "cells": [16, True]}),
                  "grid.cells[1]: expected an integer", id="cells-bool"),
     pytest.param(small_run_doc(control={"v_solve_tol": 0}),
@@ -243,9 +281,9 @@ MALFORMED = [
     pytest.param(small_run_doc(control={"dt_min": 0.05}),
                  "control: dt_min 0.05 exceeds safety * dt_max", id="dt-min-collapses"),
     pytest.param(small_run_doc(initial={"preset": "random-nonneg"}, seed=-1),
-                 "initial: seed must be >= 0", id="seed-negative"),
+                 "run: initial: seed must be >= 0", id="seed-negative"),
     pytest.param(_sweep_template(initial={"preset": "random-nonneg"}, seed=-1),
-                 "template.initial: seed must be >= 0", id="template-seed-negative"),
+                 "template: initial: seed must be >= 0", id="template-seed-negative"),
     # a grid point is checked as it is built, at parse time, not when its job runs
     pytest.param(small_sweep_doc(m_grid=(-1.0, 2.0)),
                  "sweep: m must be > 0, got -1.0", id="sweep-point-m-negative"),
@@ -272,6 +310,15 @@ class TestMalformed:
         err = capsys.readouterr().err
         assert err.startswith("invalid config:") and f"  {error}" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc,error", STEP_CANNOT_START)
+    def test_step_cannot_start_is_one_error(self, tmp_path, capsys, doc, error):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit):
+            cli_main([doc["kind"], str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config:\n  {error}\n") and err.count("\n") == 2
 
 
 def fake_result(sups, termination="reached_T"):
@@ -482,6 +529,11 @@ def _metadata_without_s_used(out_dir):
     (out_dir / METADATA_JSON).write_text(json.dumps(meta))
 
 
+def _run_csv_without_last_row(out_dir):
+    lines = (out_dir / RUN_CSV).read_text().splitlines()
+    (out_dir / RUN_CSV).write_text("\n".join(lines[:-1]) + "\n")
+
+
 def _metadata_with(key, value):
     def damage(out_dir):
         meta = json.loads((out_dir / METADATA_JSON).read_text())
@@ -509,8 +561,8 @@ class TestCli:
         out_dir = tmp_path / "out"
         code = cli_main(["run", cfg_path, "--out", str(out_dir)])
         assert code == 0
-        for name in (RUN_CSV, METADATA_JSON, LADDER_CSV, "series_t.npy", "series_u.npy"):
-            assert (out_dir / name).exists()
+        assert sorted(path.name for path in out_dir.iterdir()) == \
+            sorted([RUN_CSV, METADATA_JSON, LADDER_CSV, SERIES_FIELDS_NPY])
 
     def test_run_seed_override(self, tmp_path):
         doc = small_run_doc(initial={"preset": "random-nonneg", "low": 0.1, "high": 1.0})
@@ -591,7 +643,7 @@ class TestCli:
         doc["template"]["initial"] = {"preset": "random-nonneg"}
         cfg_path = self.write_config(tmp_path, doc)
         self.expect_invalid(capsys, ["sweep", cfg_path, "--out", str(tmp_path / "o"),
-                                     "--seed", "-1"], "template.initial: seed must be >= 0")
+                                     "--seed", "-1"], "template: initial: seed must be >= 0")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -625,7 +677,7 @@ class TestCli:
         doc = small_run_doc(initial={"preset": "random-nonneg"})
         cfg_path = self.write_config(tmp_path, doc)
         self.expect_invalid(capsys, ["run", cfg_path, "--out", str(tmp_path / "o"),
-                                     "--seed", "-1"], "initial: seed must be >= 0")
+                                     "--seed", "-1"], "run: initial: seed must be >= 0")
 
     def test_ladder_on_unparsable_metadata(self, tmp_path, capsys):
         # an echo that no longer parses as a config still rebuilds the
@@ -751,12 +803,14 @@ class TestCli:
         lines = (out_dir / "ladder_custom.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + DiagnosticsConfig().ladder_n_max + 1
 
-    def rebuild_run_ladder(self, tmp_path, edit_metadata=None):
-        """Run a small document on a non-square grid, let edit_metadata
-        change its metadata.json, and rebuild the ladder at the run's own K
-        and n_max; returns the rebuilt and the run's ladder.csv bytes."""
+    def rebuild_run_ladder(self, tmp_path, edit_metadata=None, **overrides):
+        """Run a small document on a non-square grid, with the top-level
+        `overrides`, let edit_metadata change its metadata.json, and rebuild
+        the ladder at the run's own K and n_max; returns the rebuilt and the
+        run's ladder.csv bytes."""
         doc = small_run_doc(grid={"dim": 2, "cells": [8, 6], "extent": [1.3, 0.7]},
-                            initial={"preset": "random-nonneg", "low": 0.1, "high": 1.0})
+                            initial={"preset": "random-nonneg", "low": 0.1, "high": 1.0},
+                            **overrides)
         cfg_path = self.write_config(tmp_path, doc)
         out_dir = tmp_path / "out"
         assert cli_main(["run", cfg_path, "--out", str(out_dir)]) == 0
@@ -774,6 +828,22 @@ class TestCli:
         # the run's own K and n_max: the rebuilt ladder must match the run's
         # ladder.csv byte for byte
         rebuilt, original = self.rebuild_run_ladder(tmp_path)
+        assert rebuilt == original
+
+    def test_ladder_reads_times_beside_nan_cells(self, tmp_path):
+        # at m <= q there is no gamma, so every ratio_s14 cell is nan; the
+        # ladder reads its times from the same run.csv
+        rebuilt, original = self.rebuild_run_ladder(
+            tmp_path, model={"m": 1.0, "q": 1.0, "sigma": 1e-3})
+        header, rows = read_run_csv(tmp_path / "out" / RUN_CSV)
+        assert all(math.isnan(row[header.index("ratio_s14")]) for row in rows)
+        assert rebuilt == original
+
+    def test_ladder_ignores_stored_series_t(self, tmp_path):
+        # run directories written by earlier versions also hold the sample
+        # times as series_t.npy; the ladder reads run.csv's t instead
+        rebuilt, original = self.rebuild_run_ladder(
+            tmp_path, lambda meta: np.save(tmp_path / "out" / "series_t.npy", np.zeros(3)))
         assert rebuilt == original
 
     def test_ladder_reads_echo_with_retired_keys(self, tmp_path):
@@ -812,20 +882,18 @@ class TestCli:
 
     @pytest.mark.parametrize("damage,error", [
         (_metadata_not_json, "JSONDecodeError: "),
-        (lambda out_dir: (out_dir / SERIES_TIMES_NPY).unlink(), "FileNotFoundError: "),
+        (lambda out_dir: (out_dir / RUN_CSV).unlink(), "FileNotFoundError: "),
         (lambda out_dir: (out_dir / SERIES_FIELDS_NPY).unlink(), "FileNotFoundError: "),
         (_metadata_without_s_used, "KeyError: 's_used'"),
         (_metadata_with("s_used", "x"), "ValueError: s_used: expected a finite number, got 'x'"),
         (_metadata_with("N_used", 2.5), "ValueError: N_used: expected an integer, got 2.5"),
         (_metadata_with("N_used", 1), "ValueError: N must be >= 2, got 1"),
-        (lambda out_dir: np.save(out_dir / SERIES_TIMES_NPY,
-                                 np.load(out_dir / SERIES_TIMES_NPY)[:-1]),
-         "ValueError: times and samples must align"),
+        (_run_csv_without_last_row, "ValueError: times and samples must align"),
         (_echo_with_cells([4, 4]),
          f"ValueError: {SERIES_FIELDS_NPY} holds fields of shape (8, 8), "
          "but config.grid.cells is (4, 4)"),
-    ], ids=["metadata-not-json", "series-t-missing", "series-u-missing", "s-used-missing",
-            "s-used-string", "n-used-float", "n-used-below-2", "series-lengths-differ",
+    ], ids=["metadata-not-json", "run-csv-missing", "series-u-missing", "s-used-missing",
+            "s-used-string", "n-used-float", "n-used-below-2", "run-csv-rows-differ",
             "grid-differs-from-series"])
     def test_ladder_unreadable_run_exits_1(self, tmp_path, capsys, damage, error):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)

@@ -62,20 +62,19 @@ class TestInitialData:
             assert integrate(data.u0) == pytest.approx(mass, rel=1e-10)
 
     def test_two_bumps_mass_and_positivity(self):
-        data = make_initial_data(unit_square(32), "two-bumps", mass=2.0, width=0.1)
+        data = make_initial_data(unit_square(32), "gaussian-bump", mass=2.0, width=0.1,
+                                 centers=[(0.3, 0.3), (0.7, 0.7)])
         assert integrate(data.u0) == pytest.approx(2.0, rel=1e-10)
         assert data.u0.min() >= 0.0
 
-    def test_bump_presets_differ_only_in_default_centers(self):
-        # both presets sum bumps at `centers`; only the defaults differ
-        g = unit_square(32)
+    def test_default_center_is_the_box_centre(self):
+        g = GridSpec(dim=2, cells=(32, 24), extent=(1.0, 0.75))
 
-        def u0(preset, **values):
-            return make_initial_data(g, preset, mass=2.0, width=0.1, **values).u0.values
+        def u0(**values):
+            return make_initial_data(g, "gaussian-bump", mass=2.0, width=0.1,
+                                     **values).u0.values
 
-        assert u0("gaussian-bump").tobytes() == u0("two-bumps", centers=[(0.5, 0.5)]).tobytes()
-        assert u0("two-bumps").tobytes() == \
-            u0("gaussian-bump", centers=[(0.3, 0.3), (0.7, 0.7)]).tobytes()
+        assert u0().tobytes() == u0(centers=[(0.5, 0.375)]).tobytes()
 
     def test_random_nonneg_reproducible(self):
         a = make_initial_data(unit_square(), "random-nonneg", seed=42)
@@ -85,7 +84,7 @@ class TestInitialData:
         assert not np.array_equal(a.u0.values, c.u0.values)
 
     def test_all_presets_nonnegative(self):
-        for preset in ("constant", "gaussian-bump", "two-bumps", "random-nonneg"):
+        for preset in ("constant", "gaussian-bump", "random-nonneg"):
             data = make_initial_data(unit_square(), preset, width=0.2)
             assert data.u0.min() >= 0.0
             assert data.v0.min() >= 0.0
