@@ -7,23 +7,22 @@ Subcommands:
   ladder <run-dir> rebuild a truncation ladder from a stored run series
 
 Exit codes: 0 on success; 1 on configuration errors, invalid option values
-(among them a `ladder --K` below the smallest normal double, 2.2e-308), run
-directories `ladder` cannot read and outputs that cannot be written; 2
-when a run's solver fails (a solve that does not converge within its cap),
-when a completed sweep contains failed jobs, or when the kernel self-check
-fails.  Each error is reported as one line on stderr.
+(among them a `ladder --K` or `--n-max` outside `diagnostics.ladder_levels`'
+domain), run directories `ladder` cannot read and outputs that cannot be
+written; 2 when a run's solver fails (a solve that does not converge within
+its cap), when a completed sweep contains failed jobs, or when the kernel
+self-check fails.  Each error is reported as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, SweepConfig, parse_config
-from .diagnostics import _MAX_LADDER_N, DiagnosticsConfig, ladder_for_run
+from .diagnostics import DiagnosticsConfig, ladder_for_run, ladder_levels
 from .kernels import self_check
 from .outputs import (METADATA_JSON, SWEEP_JSON, emit_run_outputs, rebuild_run_ladder,
                       write_ladder_csv, write_sweep_json)
@@ -133,15 +132,10 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    if not (math.isfinite(args.K) and args.K > 0.0):
-        return _invalid_option(f"--K must be finite and > 0, got {args.K}")
-    if args.K < sys.float_info.min:  # subnormal: K/2 and the levels round
-        return _invalid_option(f"--K must be >= {sys.float_info.min!r}, "
-                               f"the smallest normal double, got {args.K}")
-    if args.n_max < 0:
-        return _invalid_option(f"--n-max must be >= 0, got {args.n_max}")
-    if args.n_max > _MAX_LADDER_N:
-        return _invalid_option(f"--n-max must be <= {_MAX_LADDER_N}, got {args.n_max}")
+    try:
+        ladder_levels(args.K, args.n_max)
+    except ValueError as e:
+        return _invalid_option(str(e))
     run_dir = Path(args.run_dir)
     if not (run_dir / METADATA_JSON).exists():
         print(f"no run metadata found in {run_dir}", file=sys.stderr)

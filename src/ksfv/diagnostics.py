@@ -15,6 +15,7 @@ record call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,18 @@ from .model import ModelParams
 from .solver import SimState
 
 
-# The deepest ladder level n: K - K / 2^(n+1) repeats the level before it at
-# n = 52 for about half the K of a binade, and rounds to K from n = 53.
-_MAX_LADDER_N = 51
+def ladder_levels(K: float, n_max: int) -> tuple[float, ...]:
+    """The truncation levels K_n = K - K / 2^(n+1), n = 0..n_max, strictly
+    increasing in [K/2, K].  The ladder's domain, stated once: raises
+    ValueError unless K is finite and a normal double (for a subnormal K the
+    levels round) and 0 <= n_max <= 51 (at n = 52 a level can repeat the one
+    before it, and from n = 53 it rounds to K)."""
+    if not sys.float_info.min <= K < math.inf:
+        raise ValueError(f"ladder K must be finite and >= {sys.float_info.min!r}, "
+                         f"the smallest normal double, got {K}")
+    if not 0 <= n_max <= 51:
+        raise ValueError(f"ladder n_max must be in [0, 51], got {n_max}")
+    return tuple(K - K / 2.0 ** (n + 1) for n in range(n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -39,11 +49,7 @@ class DiagnosticsConfig:
     p_fr1: float | None = None    # None: N + 2 (must exceed (N+2)/2)
 
     def __post_init__(self):
-        if self.ladder_n_max < 0:
-            raise ValueError(f"ladder_n_max must be >= 0, got {self.ladder_n_max}")
-        if self.ladder_n_max > _MAX_LADDER_N:
-            raise ValueError(f"ladder_n_max must be <= {_MAX_LADDER_N}, got {self.ladder_n_max}: "
-                             "a deeper level can round to the one before it")
+        ladder_levels(1.0, self.ladder_n_max)  # raises unless n_max is in the ladder's domain
         if any(p < 1 for p in self.p_list):
             raise ValueError("every p in p_list must be >= 1")
         if len(set(self.p_list)) < len(self.p_list):  # one run.csv column per p
@@ -96,7 +102,8 @@ class DiagnosticsTracker:
     """Accumulates running integrals between record calls.
 
     One tracker per run; `record` must be called with nondecreasing state
-    times (the run loop guarantees this).
+    times (the run loop guarantees this).  No monitor raises or warns: a
+    power beyond the double range is inf, and a ratio of it is 0.0.
     """
 
     def __init__(self, params: ModelParams, config: DiagnosticsConfig, v0: Field):
@@ -113,6 +120,7 @@ class DiagnosticsTracker:
         self._grad_energy = 0.0        # integral of |grad u^((m+s)/2)|^2
         self._sup_grad_v_running = 0.0
 
+    @np.errstate(over="ignore")
     def record(self, state: SimState) -> DiagnosticsRecord:
         u, v = state.u, state.v
         m, s = self.params.m, self.s
@@ -137,7 +145,7 @@ class DiagnosticsTracker:
         if self.gamma is None:
             ratio_s14 = math.nan
         else:
-            ratio_s14 = _safe_ratio(sup_u, self._sup_grad_v_running ** self.gamma)
+            ratio_s14 = _safe_ratio(sup_u, float(np.float64(self._sup_grad_v_running) ** self.gamma))
 
         return DiagnosticsRecord(
             t=state.t,
@@ -161,24 +169,17 @@ class DeGiorgiLadder:
     energies: tuple[float, ...]            # integral of ((u - K_n)^+)^(m_s)
     m_s: float
 
-    def __post_init__(self):
-        ks = self.levels
-        if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-            raise ValueError("truncation levels must be strictly increasing")
-        if ks and not (self.K / 2.0 <= ks[0] and ks[-1] <= self.K):
-            raise ValueError("levels must lie in [K/2, K]")
-
 
 def build_ladder(times: list[float], u_samples: list[np.ndarray], cell_volume: float,
                  K: float, n_max: int, m_s: float) -> DeGiorgiLadder:
-    """Level-set measures and truncation energies on a sampled series.
+    """Level-set measures and truncation energies on a sampled series, at
+    the levels `ladder_levels(K, n_max)`, which refuses a K or n_max outside
+    the ladder's domain.
 
     Quadrature is cell volume x left-endpoint time weights, matching the
     piecewise-constant-in-time convention used for the other space-time
     integrals; the final sample only closes the last interval.
     """
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
     if m_s <= 1:
         raise ValueError(f"m_s must exceed 1, got {m_s}")
     if len(times) == 0 or len(u_samples) == 0:
@@ -187,7 +188,7 @@ def build_ladder(times: list[float], u_samples: list[np.ndarray], cell_volume: f
         raise ValueError("times and samples must align")
 
     weights = [times[j + 1] - times[j] for j in range(len(times) - 1)]
-    levels = tuple(K - K / 2.0 ** (n + 1) for n in range(n_max + 1))
+    levels = ladder_levels(K, n_max)
     measures = []
     energies = []
     for kn in levels:
@@ -208,12 +209,15 @@ def build_ladder(times: list[float], u_samples: list[np.ndarray], cell_volume: f
 
 def ladder_for_run(times, u_samples, cell_volume, params: ModelParams,
                    config: DiagnosticsConfig, sup_u_overall: float) -> DeGiorgiLadder | None:
-    """Ladder at K = ladder_k_value * sup_u_overall; None when the run never
-    produced a positive sup (nothing to truncate).  `ksfv ladder --K`
+    """Ladder at K = ladder_k_value * sup_u_overall and the config's n_max;
+    None (a header-only ladder.csv) when K is outside the ladder's domain: no
+    positive sup, or a K that overflows or is subnormal.  `ksfv ladder --K`
     builds one at any other K."""
     N, s, _ = analytic_exponents(params, config, np.ndim(u_samples[0]))
     m_s, _ = exponent_ms_qs(s, params.m, params.q, N)
     K = config.ladder_k_value * sup_u_overall
-    if K <= 0:
+    try:
+        ladder_levels(K, config.ladder_n_max)
+    except ValueError:
         return None
     return build_ladder(times, u_samples, cell_volume, K, config.ladder_n_max, m_s)

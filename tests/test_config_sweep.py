@@ -30,6 +30,16 @@ MINIMAL_RUN = {
 }
 
 
+# the 32^2 bump of mass 1.5 x 8 pi, whose ratio_s14 overflows near m = q
+NEAR_M_EQ_Q = {
+    "model": {"sigma": 1e-3},
+    "grid": {"dim": 2, "cells": [32, 32], "extent": [1.0, 1.0]},
+    "initial": {"preset": "gaussian-bump", "mass": 37.699, "width": 0.08},
+    "horizon": 0.01,
+    "samples": 3,
+}
+
+
 def small_run_doc(**overrides):
     doc = json.loads(json.dumps(MINIMAL_RUN))
     doc.update(overrides)
@@ -273,11 +283,13 @@ MALFORMED = [
                  "diagnostics: p_list must not repeat a value, got [2.0, 2.0]",
                  id="p-list-repeated"),
     pytest.param(small_run_doc(diagnostics={"ladder_n_max": -2}),
-                 "diagnostics: ladder_n_max must be >= 0", id="ladder-n-max-negative"),
+                 "diagnostics: ladder n_max must be in [0, 51], got -2",
+                 id="ladder-n-max-negative"),
     # from n = 52 a ladder level can round to the one before it, which
     # would fail the run after it finished
     pytest.param(small_run_doc(diagnostics={"ladder_n_max": 52}),
-                 "diagnostics: ladder_n_max must be <= 51, got 52", id="ladder-n-max-52"),
+                 "diagnostics: ladder n_max must be in [0, 51], got 52",
+                 id="ladder-n-max-52"),
     pytest.param(small_run_doc(control={"dt_min": 0.05}),
                  "control: dt_min 0.05 exceeds safety * dt_max", id="dt-min-collapses"),
     pytest.param(small_run_doc(initial={"preset": "random-nonneg"}, seed=-1),
@@ -564,6 +576,41 @@ class TestCli:
         assert sorted(path.name for path in out_dir.iterdir()) == \
             sorted([RUN_CSV, METADATA_JSON, LADDER_CSV, SERIES_FIELDS_NPY])
 
+    # a 16^2 bump of sup u0 about 4: K = ladder_k_value x sup is subnormal at
+    # 1e-310 and overflows at 1e308, outside the ladder's domain
+    @pytest.mark.parametrize("n_max", [8, 51])
+    @pytest.mark.parametrize("k_value", [1e-310, 1e308])
+    def test_run_with_k_outside_ladder_domain_writes_header_only_ladder(
+            self, tmp_path, k_value, n_max):
+        doc = small_run_doc(grid={"dim": 2, "cells": [16, 16]},
+                            initial={"preset": "gaussian-bump", "mass": 1.0, "width": 0.2},
+                            diagnostics={"ladder_k_value": k_value, "ladder_n_max": n_max})
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", self.write_config(tmp_path, doc), "--out", str(out_dir)]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == \
+            sorted([RUN_CSV, METADATA_JSON, LADDER_CSV, SERIES_FIELDS_NPY])
+        assert (out_dir / LADDER_CSV).read_text() == "n,K_n,A_n_measure,y_n\n"
+
+    def test_run_near_m_eq_q(self, tmp_path):
+        # gamma -> 1/(m - q) = 2^k: from k = 9 sup |grad v|^gamma overflows,
+        # and ratio_s14 is written as 0.0 (sup u / inf) instead of raising
+        for k in range(7, 11):
+            doc = {"kind": "run", **NEAR_M_EQ_Q,
+                   "model": {"m": 1.0 + 2.0 ** -k, "q": 1.0, "sigma": 1e-3}}
+            out_dir = tmp_path / f"k{k}"
+            assert cli_main(["run", self.write_config(tmp_path, doc), "--out", str(out_dir)]) == 0
+            header, rows = read_run_csv(out_dir / RUN_CSV)
+            ratios = [row[header.index("ratio_s14")] for row in rows]
+            assert len(ratios) == 3 and not any(map(math.isnan, ratios))
+            assert (0.0 in ratios) == (k >= 9), (k, ratios)
+
+    def test_sweep_near_m_eq_q_has_no_failed_point(self, tmp_path):
+        doc = {"kind": "sweep", "m_grid": [1.0 + 2.0 ** -k for k in (10, 9, 8, 7)],
+               "q_grid": [1.0], "template": NEAR_M_EQ_Q, "workers": 1}
+        out_dir = tmp_path / "o"
+        assert cli_main(["sweep", self.write_config(tmp_path, doc), "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / SWEEP_JSON).read_text())["failures"] == 0
+
     def test_run_seed_override(self, tmp_path):
         doc = small_run_doc(initial={"preset": "random-nonneg", "low": 0.1, "high": 1.0})
         cfg_path = self.write_config(tmp_path, doc)
@@ -766,15 +813,17 @@ class TestCli:
         assert captured.err == "invalid option: --seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("option,value,error", [
-        ("--K", "nan", "--K must be finite and > 0, got nan"),
-        ("--K", "-1", "--K must be finite and > 0, got -1.0"),
+        ("--K", "nan", "ladder K must be finite and >= 2.2250738585072014e-308, the smallest "
+                       "normal double, got nan"),
+        ("--K", "-1", "ladder K must be finite and >= 2.2250738585072014e-308, the smallest "
+                      "normal double, got -1.0"),
         # subnormal K: K/2 or the levels would round
-        ("--K", "1e-310", "--K must be >= 2.2250738585072014e-308, the smallest normal "
-                          "double, got 1e-310"),
-        ("--K", "5e-324", "--K must be >= 2.2250738585072014e-308, the smallest normal "
-                          "double, got 5e-324"),
-        ("--n-max", "-1", "--n-max must be >= 0, got -1"),
-        ("--n-max", "52", "--n-max must be <= 51, got 52"),
+        ("--K", "1e-310", "ladder K must be finite and >= 2.2250738585072014e-308, the smallest "
+                          "normal double, got 1e-310"),
+        ("--K", "5e-324", "ladder K must be finite and >= 2.2250738585072014e-308, the smallest "
+                          "normal double, got 5e-324"),
+        ("--n-max", "-1", "ladder n_max must be in [0, 51], got -1"),
+        ("--n-max", "52", "ladder n_max must be in [0, 51], got 52"),
     ], ids=["K-nan", "K-negative", "K-1e-310", "K-5e-324", "n-max-negative", "n-max-52"])
     def test_ladder_bad_option_exit_1(self, tmp_path, capsys, option, value, error):
         cfg_path = self.write_config(tmp_path, MINIMAL_RUN)

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ksfv.diagnostics import (DiagnosticsConfig, DiagnosticsTracker,
-                              build_ladder, ladder_for_run)
+                              build_ladder, ladder_for_run, ladder_levels)
 from ksfv.grid import Field, GridSpec, constant_field
 from ksfv.kernels import default_s, exponent_ms_qs
 from ksfv.model import ModelParams, make_initial_data
@@ -61,6 +62,30 @@ class TestTracker:
         tracker = DiagnosticsTracker(params, DiagnosticsConfig(), constant_field(g, 0.0))
         rec = tracker.record(state_of(np.ones((8, 8)), np.ones((8, 8)), g))
         assert math.isnan(rec.ratio_s14)
+
+    def test_ratio_s14_is_zero_when_its_power_overflows(self):
+        # gamma ~ 1/(m - q) = 2^10, so sup |grad v|^gamma = 100^gamma overflows:
+        # no OverflowError, and the ratio is sup u / inf, which rounds to 0
+        g = unit_square()
+        params = ModelParams(m=1.0 + 2.0 ** -10, q=1.0)
+        tracker = DiagnosticsTracker(params, DiagnosticsConfig(), constant_field(g, 0.0))
+        x = (np.arange(8) + 0.5) / 8
+        rec = tracker.record(state_of(np.ones((8, 8)), np.tile(100.0 * x[:, None], (1, 8)), g))
+        assert tracker.gamma > 1000 and rec.sup_grad_v == pytest.approx(100.0)
+        assert rec.ratio_s14 == 0.0
+
+    def test_energy_is_inf_when_its_power_overflows(self):
+        # criterion 5's 128^2 bump at (m, q) = (40, 1): s = 117 and sup u0 =
+        # 935, so u^(s+1) overflows in energy_s, and u^((m+s)/2) and u^(2p)
+        # are taken in the same way; the record neither raises nor warns
+        g = GridSpec(dim=2, cells=(128, 128), extent=(1.0, 1.0))
+        init = make_initial_data(g, "gaussian-bump", mass=1.5 * 8.0 * math.pi, width=0.08)
+        params = ModelParams(m=40.0, q=1.0, sigma=1e-3)
+        tracker = DiagnosticsTracker(params, DiagnosticsConfig(), init.v0)
+        rec = tracker.record(SimState(u=init.u0, v=init.v0, t=0.0, step=0))
+        assert tracker.s == 117 and rec.sup_u == pytest.approx(935.27, rel=1e-5)
+        assert rec.energy_s == math.inf
+        assert math.isfinite(rec.mass) and rec.ratio_fr1 == 0.0
 
     def test_running_integrals_accumulate(self):
         g = unit_square()
@@ -129,8 +154,7 @@ class TestLadder:
     def test_deepest_level_n_max_51(self):
         # a power-of-two factor on K scales every level exactly, so K across
         # one binade stands for every normal K: levels 0..51 stay strictly
-        # increasing (DeGiorgiLadder checks it), and for some K a level 52
-        # would repeat level 51
+        # increasing, and for some K a level 52 would repeat level 51
         rng = np.random.default_rng(89)
         Ks = [1.0, math.nextafter(2.0, 1.0), *rng.uniform(1.0, 2.0, 300)]
         one = np.ones((1, 1))
@@ -138,8 +162,26 @@ class TestLadder:
         for K in Ks:
             lad = build_ladder([0.0, 1.0], [one, one], 1.0, K=K, n_max=51, m_s=2.0)
             assert len(lad.levels) == 52 and lad.levels[-1] < K
+            assert all(b > a for a, b in zip(lad.levels, lad.levels[1:]))
             repeats += K - K / 2.0 ** 53 <= lad.levels[-1]
         assert 0 < repeats < len(Ks)
+
+    def test_domain_edges(self):
+        # K down to the smallest normal double, whose levels are exact, and
+        # n_max up to 51; one step past either edge is refused
+        tiny = sys.float_info.min
+        levels = ladder_levels(tiny, 51)
+        assert levels[0] == tiny / 2.0 and levels[-1] < tiny
+        assert all(b > a for a, b in zip(levels, levels[1:]))
+        assert len(ladder_levels(1.0, 51)) == 52 and ladder_levels(1.0, 0) == (0.5,)
+        for K in (math.nextafter(tiny, 0.0), 0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="ladder K must be finite and >= "
+                                                 "2.2250738585072014e-308"):
+                ladder_levels(K, 8)
+        for n_max in (-1, 52):
+            with pytest.raises(ValueError, match=rf"ladder n_max must be in \[0, 51\], "
+                                                 rf"got {n_max}"):
+                ladder_levels(1.0, n_max)
 
     def test_monotone_energies_and_measures(self):
         rng = np.random.default_rng(79)
