@@ -5,7 +5,7 @@ norms, sup norms of u, v and grad v, the energy integral of u^(s+1), the
 running space-time integral of |grad u^((m+s)/2)|^2, and two empirical
 estimate ratios whose boundedness proxies the a-priori bounds (their
 constants are not computable, so only bounded-ratio monitoring is
-meaningful).
+meaningful); the second is kept as its natural log.
 
 Space-time integrals use piecewise-constant-in-time quadrature at the
 sample times, not at every step; sup-type monitors are updated at every
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, face_gradient_sup, grad_square_integral, integrate, lp_norm
+from .grid import Field, face_gradient_sup, grad_square_integral, integrate, lp_norm, power_integral
 from .kernels import default_s, exponent_ms_qs, gamma_exponent
 from .model import ModelParams
 from .solver import SimState
@@ -69,7 +69,7 @@ class DiagnosticsRecord:
     energy_s: float
     grad_energy_running: float
     ratio_fr1: float
-    ratio_s14: float
+    log_ratio_s14: float
 
 
 def analytic_exponents(params: ModelParams, config: DiagnosticsConfig, dim: int
@@ -102,8 +102,8 @@ class DiagnosticsTracker:
     """Accumulates running integrals between record calls.
 
     One tracker per run; `record` must be called with nondecreasing state
-    times (the run loop guarantees this).  No monitor raises or warns: a
-    power beyond the double range is inf, and a ratio of it is 0.0.
+    times (the run loop guarantees this).  No monitor raises or warns, and one
+    is inf only beyond the double range; log_ratio_s14 is nan at m <= q.
     """
 
     def __init__(self, params: ModelParams, config: DiagnosticsConfig, v0: Field):
@@ -130,7 +130,7 @@ class DiagnosticsTracker:
             self._u2p_integral += self._last_u2p * dt
             self._grad_energy += self._last_grad_sq * dt
 
-        u2p = float((u.values ** (2.0 * self.p_fr1)).sum() * u.grid.cell_volume)
+        u2p = power_integral(u.values, 2.0 * self.p_fr1, u.grid.cell_volume)
         grad_sq = grad_square_integral(u.grid, u.values ** ((m + s) / 2.0))
         self._last_t = state.t
         self._last_u2p = u2p
@@ -140,12 +140,13 @@ class DiagnosticsTracker:
         self._sup_grad_v_running = max(self._sup_grad_v_running, sup_grad_v)
 
         sup_u = lp_norm(u, math.inf)
-        u_2p_norm = self._u2p_integral ** (1.0 / (2.0 * self.p_fr1)) if self._u2p_integral > 0 else 0.0
+        u_2p_norm = self._u2p_integral ** (1.0 / (2.0 * self.p_fr1))
         ratio_fr1 = _safe_ratio(self._sup_grad_v_running, self.v_w1inf_0 + u_2p_norm)
         if self.gamma is None:
-            ratio_s14 = math.nan
-        else:
-            ratio_s14 = _safe_ratio(sup_u, float(np.float64(self._sup_grad_v_running) ** self.gamma))
+            log_ratio_s14 = math.nan
+        else:  # IEEE logs: ln 0 = -inf, so +inf while sup |grad v| is 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_ratio_s14 = float(np.log(sup_u) - self.gamma * np.log(self._sup_grad_v_running))
 
         return DiagnosticsRecord(
             t=state.t,
@@ -154,10 +155,10 @@ class DiagnosticsTracker:
             sup_v=lp_norm(v, math.inf),
             sup_grad_v=sup_grad_v,
             lp_u={p: lp_norm(u, p) for p in self.config.p_list},
-            energy_s=float((u.values ** (s + 1.0)).sum() * u.grid.cell_volume),
+            energy_s=power_integral(u.values, s + 1.0, u.grid.cell_volume),
             grad_energy_running=self._grad_energy,
             ratio_fr1=ratio_fr1,
-            ratio_s14=ratio_s14,
+            log_ratio_s14=log_ratio_s14,
         )
 
 
@@ -197,10 +198,8 @@ def build_ladder(times: list[float], u_samples: list[np.ndarray], cell_volume: f
         for w, u in zip(weights, u_samples):
             if w <= 0:
                 continue
-            above = u >= kn
-            meas += float(above.sum()) * cell_volume * w
-            excess = np.maximum(u - kn, 0.0)
-            ener += float((excess ** m_s).sum()) * cell_volume * w
+            meas += float((u >= kn).sum()) * cell_volume * w
+            ener += power_integral(np.maximum(u - kn, 0.0), m_s, cell_volume) * w
         measures.append(meas)
         energies.append(ener)
     return DeGiorgiLadder(K=K, levels=levels, measures=tuple(measures),

@@ -113,13 +113,24 @@ def integrate(f: Field) -> float:
     return float(f.values.sum() * f.grid.cell_volume)
 
 
+def power_integral(x: np.ndarray, p: float, cell_volume: float) -> float:
+    """Discrete integral of x^p for x >= 0, as sup^(p/2) (integral of (x/sup)^p)
+    sup^(p/2): inf only when the integral is beyond the double range, no warning."""
+    sup = float(x.max()) or 1.0  # x = 0 integrates to 0 at any scale
+    with np.errstate(over="ignore"):
+        half = np.float64(sup) ** (p / 2.0)
+        return float(half * (((x / sup) ** p).sum() * cell_volume) * half)
+
+
 def lp_norm(f: Field, p: float) -> float:
-    """L^p norm under cell-average quadrature; p=inf gives max |value|."""
+    """L^p norm under cell-average quadrature, sup (power_integral of |f|/sup)^(1/p):
+    finite for a finite field; p=inf gives max |value|."""
+    sup = float(np.abs(f.values).max())
     if p == math.inf:
-        return float(np.abs(f.values).max())
+        return sup
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((np.abs(f.values) ** p).sum() * f.grid.cell_volume) ** (1.0 / p)
+    return sup * power_integral(np.abs(f.values) / (sup or 1.0), p, f.grid.cell_volume) ** (1.0 / p)
 
 
 class _FaceBuffer:

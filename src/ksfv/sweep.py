@@ -70,15 +70,9 @@ def execute_run(cfg: RunConfig, wall_clock_budget: float | None = None):
     return result, tracker
 
 
-def _max_ratio_s14(records) -> float | None:
-    vals = [rec.ratio_s14 for rec in records
-            if not math.isnan(rec.ratio_s14) and not math.isinf(rec.ratio_s14)]
-    return max(vals) if vals else None
-
-
 # A sweep point's result keys, between its i, j, m, q and its error.
 _RESULT_KEYS = ("regime", "classification", "monotone_growth", "termination",
-                "final_sup_u", "t_end", "max_ratio_s14")
+                "final_sup_u", "t_end", "max_log_ratio_s14")
 
 
 def _sweep_point(args) -> dict:
@@ -88,9 +82,10 @@ def _sweep_point(args) -> dict:
         regime = classify_regime(cfg.model, N)
         result, _ = execute_run(cfg)
         verdict = classify_run(result, cfg.thresholds.bounded_multiple)
+        logs = [rec.log_ratio_s14 for rec in result.records if math.isfinite(rec.log_ratio_s14)]
         values = (regime.value, verdict.label, verdict.monotone_growth, result.termination,
                   result.records[-1].sup_u, result.final_state.t,
-                  _max_ratio_s14(result.records))
+                  max(logs, default=None))
         error = None
     except Exception as e:  # job isolation: record, keep sweeping
         values, error = (None,) * len(_RESULT_KEYS), f"{type(e).__name__}: {e}"

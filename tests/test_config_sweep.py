@@ -30,7 +30,7 @@ MINIMAL_RUN = {
 }
 
 
-# the 32^2 bump of mass 1.5 x 8 pi, whose ratio_s14 overflows near m = q
+# the 32^2 bump of mass 1.5 x 8 pi, whose sup |grad v|^gamma overflows near m = q
 NEAR_M_EQ_Q = {
     "model": {"sigma": 1e-3},
     "grid": {"dim": 2, "cells": [32, 32], "extent": [1.0, 1.0]},
@@ -477,7 +477,7 @@ class TestOutputs:
         assert header == ["t", "mass", "sup_u", "sup_v", "sup_grad_v",
                           "lp_u:p=1", "lp_u:p=2", "lp_u:p=4",
                           "energy_s", "grad_energy_running",
-                          "ratio_fr1", "ratio_s14"]
+                          "ratio_fr1", "log_ratio_s14"]
         # the lp_u columns follow p_list, in its order
         self.run_and_emit(tmp_path, small_run_doc(diagnostics={"p_list": [4, 1.5]}))
         header, _ = read_run_csv(tmp_path / RUN_CSV)
@@ -593,23 +593,40 @@ class TestCli:
 
     def test_run_near_m_eq_q(self, tmp_path):
         # gamma -> 1/(m - q) = 2^k: from k = 9 sup |grad v|^gamma overflows,
-        # and ratio_s14 is written as 0.0 (sup u / inf) instead of raising
+        # but its log does not: log_ratio_s14 is +inf at t = 0, where v0 is
+        # flat, and finite at the later samples
         for k in range(7, 11):
             doc = {"kind": "run", **NEAR_M_EQ_Q,
                    "model": {"m": 1.0 + 2.0 ** -k, "q": 1.0, "sigma": 1e-3}}
             out_dir = tmp_path / f"k{k}"
             assert cli_main(["run", self.write_config(tmp_path, doc), "--out", str(out_dir)]) == 0
             header, rows = read_run_csv(out_dir / RUN_CSV)
-            ratios = [row[header.index("ratio_s14")] for row in rows]
-            assert len(ratios) == 3 and not any(map(math.isnan, ratios))
-            assert (0.0 in ratios) == (k >= 9), (k, ratios)
+            logs = [row[header.index("log_ratio_s14")] for row in rows]
+            assert len(logs) == 3 and logs[0] == math.inf, (k, logs)
+            assert all(map(math.isfinite, logs[1:])), (k, logs)
 
     def test_sweep_near_m_eq_q_has_no_failed_point(self, tmp_path):
         doc = {"kind": "sweep", "m_grid": [1.0 + 2.0 ** -k for k in (10, 9, 8, 7)],
                "q_grid": [1.0], "template": NEAR_M_EQ_Q, "workers": 1}
         out_dir = tmp_path / "o"
         assert cli_main(["sweep", self.write_config(tmp_path, doc), "--out", str(out_dir)]) == 0
-        assert json.loads((out_dir / SWEEP_JSON).read_text())["failures"] == 0
+        saved = json.loads((out_dir / SWEEP_JSON).read_text())
+        assert saved["failures"] == 0
+        # each point's max log ratio is its own, not a rounded-away 0.0
+        logs = [pt["max_log_ratio_s14"] for pt in saved["points"]]
+        assert all(isinstance(x, float) and math.isfinite(x) for x in logs), logs
+        assert len(set(logs)) == 4, logs
+
+    def test_run_example_with_large_s(self, tmp_path):
+        # s = 300: the ladder's m_s = 603 takes the excesses' integrals beyond
+        # the double range (y_n = inf); the run finishes without a warning and
+        # writes every file
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "run_example.json").read_text())
+        doc["diagnostics"]["s"] = 300
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", self.write_config(tmp_path, doc), "--out", str(out_dir)]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == \
+            sorted([RUN_CSV, METADATA_JSON, LADDER_CSV, SERIES_FIELDS_NPY])
 
     def test_run_seed_override(self, tmp_path):
         doc = small_run_doc(initial={"preset": "random-nonneg", "low": 0.1, "high": 1.0})
@@ -880,12 +897,12 @@ class TestCli:
         assert rebuilt == original
 
     def test_ladder_reads_times_beside_nan_cells(self, tmp_path):
-        # at m <= q there is no gamma, so every ratio_s14 cell is nan; the
+        # at m <= q there is no gamma, so every log_ratio_s14 cell is nan; the
         # ladder reads its times from the same run.csv
         rebuilt, original = self.rebuild_run_ladder(
             tmp_path, model={"m": 1.0, "q": 1.0, "sigma": 1e-3})
         header, rows = read_run_csv(tmp_path / "out" / RUN_CSV)
-        assert all(math.isnan(row[header.index("ratio_s14")]) for row in rows)
+        assert all(math.isnan(row[header.index("log_ratio_s14")]) for row in rows)
         assert rebuilt == original
 
     def test_ladder_ignores_stored_series_t(self, tmp_path):

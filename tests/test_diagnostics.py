@@ -61,31 +61,48 @@ class TestTracker:
         params = ModelParams(m=1.0, q=1.0)
         tracker = DiagnosticsTracker(params, DiagnosticsConfig(), constant_field(g, 0.0))
         rec = tracker.record(state_of(np.ones((8, 8)), np.ones((8, 8)), g))
-        assert math.isnan(rec.ratio_s14)
+        assert math.isnan(rec.log_ratio_s14)
 
-    def test_ratio_s14_is_zero_when_its_power_overflows(self):
-        # gamma ~ 1/(m - q) = 2^10, so sup |grad v|^gamma = 100^gamma overflows:
-        # no OverflowError, and the ratio is sup u / inf, which rounds to 0
+    def test_log_ratio_s14_is_finite_when_its_power_overflows(self):
+        # gamma ~ 1/(m - q) = 2^10, so sup |grad v|^gamma = 100^gamma is
+        # beyond the double range; its log is not, and sup u = 1
         g = unit_square()
         params = ModelParams(m=1.0 + 2.0 ** -10, q=1.0)
         tracker = DiagnosticsTracker(params, DiagnosticsConfig(), constant_field(g, 0.0))
         x = (np.arange(8) + 0.5) / 8
         rec = tracker.record(state_of(np.ones((8, 8)), np.tile(100.0 * x[:, None], (1, 8)), g))
         assert tracker.gamma > 1000 and rec.sup_grad_v == pytest.approx(100.0)
-        assert rec.ratio_s14 == 0.0
+        assert rec.log_ratio_s14 == pytest.approx(-tracker.gamma * math.log(100.0), rel=1e-13)
 
     def test_energy_is_inf_when_its_power_overflows(self):
         # criterion 5's 128^2 bump at (m, q) = (40, 1): s = 117 and sup u0 =
-        # 935, so u^(s+1) overflows in energy_s, and u^((m+s)/2) and u^(2p)
-        # are taken in the same way; the record neither raises nor warns
+        # 935, so the integral of u^(s+1) is itself beyond the double range
+        # (its log exceeds ln(max double)), and energy_s is a genuine inf;
+        # u^((m+s)/2) overflows too, and the record neither raises nor warns
         g = GridSpec(dim=2, cells=(128, 128), extent=(1.0, 1.0))
         init = make_initial_data(g, "gaussian-bump", mass=1.5 * 8.0 * math.pi, width=0.08)
         params = ModelParams(m=40.0, q=1.0, sigma=1e-3)
         tracker = DiagnosticsTracker(params, DiagnosticsConfig(), init.v0)
         rec = tracker.record(SimState(u=init.u0, v=init.v0, t=0.0, step=0))
         assert tracker.s == 117 and rec.sup_u == pytest.approx(935.27, rel=1e-5)
+        sup, p = rec.sup_u, tracker.s + 1.0
+        scaled = float(((init.u0.values / sup) ** p).sum() * g.cell_volume)
+        assert p * math.log(sup) + math.log(scaled) > math.log(sys.float_info.max)
         assert rec.energy_s == math.inf
         assert math.isfinite(rec.mass) and rec.ratio_fr1 == 0.0
+
+    @pytest.mark.parametrize("value", [10.0, 100.0])
+    def test_power_integrals_finite_beyond_the_power_range(self, value):
+        # u = value on 128^2 cells: u^305 per cell is 1e305 or 1e610, so a
+        # plain sum overflows, but the L^305 norm is value, and at u = 10 the
+        # energy integral of u^(s+1) = u^305 is 1e305 on the unit box
+        g = GridSpec(dim=2, cells=(128, 128), extent=(1.0, 1.0))
+        tracker = DiagnosticsTracker(ModelParams(m=2.0, q=1.0),
+                                     DiagnosticsConfig(s=304, p_list=(1.0, 305.0)),
+                                     constant_field(g, 0.0))
+        rec = tracker.record(state_of(np.full((128, 128), value), np.zeros((128, 128)), g))
+        assert rec.lp_u[305.0] == pytest.approx(value, rel=1e-14)
+        assert rec.energy_s == (pytest.approx(1e305, rel=1e-13) if value == 10.0 else math.inf)
 
     def test_running_integrals_accumulate(self):
         g = unit_square()
@@ -183,6 +200,13 @@ class TestLadder:
                                                  rf"got {n_max}"):
                 ladder_levels(1.0, n_max)
 
+    def test_energy_finite_beyond_the_power_range(self):
+        # excess 20 - 10 = 10 at level K_0 = 10, raised to m_s = 305 on 128^2
+        # cells: 1e305 per cell overflows a plain sum; y_0 is 1e305, no warning
+        u = np.full((128, 128), 20.0)
+        lad = build_ladder([0.0, 1.0], [u, u], 1 / 128 ** 2, K=20.0, n_max=0, m_s=305.0)
+        assert lad.energies[0] == pytest.approx(1e305, rel=1e-13)
+
     def test_monotone_energies_and_measures(self):
         rng = np.random.default_rng(79)
         times = [0.0, 0.3, 0.7, 1.0]
@@ -247,7 +271,7 @@ class TestLadderForRun:
                   sup_threshold_multiple=math.inf, tracker=tracker)
         assert res.termination == "reached_T"
         for rec in res.records[1:]:
-            assert math.isfinite(rec.ratio_s14)
+            assert math.isfinite(rec.log_ratio_s14)
             assert math.isfinite(rec.sup_u)
 
     def test_records_emitted_by_run(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksfv.grid import (Field, GridSpec, _face_differences, _Laplacian, constant_field,
-                       grad_square_integral, integrate, lp_norm)
+                       grad_square_integral, integrate, lp_norm, power_integral)
 
 
 def grid1d(n=8, L=1.0):
@@ -163,6 +163,25 @@ class TestLpNorm:
         bigger = vals * rng.uniform(1.0, 2.0, 32)
         for p in (1.0, 2.0, math.inf):
             assert lp_norm(Field(g, vals), p) <= lp_norm(Field(g, bigger), p)
+
+
+class TestPowerIntegral:
+    def test_against_quadrature_oracle(self):
+        rng = np.random.default_rng(23)
+        vals = rng.uniform(0, 3, (16, 16))
+        for p in (1.0, 2.5, 8.0, 40.0):
+            oracle = math.fsum((vals ** p).flatten().tolist()) / 256
+            assert power_integral(vals, p, 1 / 256) == pytest.approx(oracle, rel=1e-14)
+        assert power_integral(np.zeros((4, 4)), 3.0, 1 / 16) == 0.0
+
+    def test_finite_where_sup_to_the_p_overflows(self):
+        # one cell of 10 on 128^2 cells at p = 309: sup^p = 1e309 overflows,
+        # the integral 1e309 / 128^2 does not; at p = 314, 1e314 / 128^2 does
+        x = np.zeros((128, 128))
+        x[5, 7] = 10.0
+        expected = 10.0 ** 305 / 128 ** 2 * 10.0 ** 4  # 1e309 / 128^2, about 6.1e304
+        assert power_integral(x, 309.0, 1 / 128 ** 2) == pytest.approx(expected, rel=1e-13)
+        assert power_integral(x, 314.0, 1 / 128 ** 2) == math.inf
 
 
 def test_grad_square_integral_matches_manual():
